@@ -28,6 +28,7 @@
 
 #include "bounds/superblock_bounds.hh"
 #include "eval/bench_options.hh"
+#include "eval/pipeline.hh"
 #include "machine/machine_model.hh"
 #include "sched/bnb/bnb.hh"
 #include "support/diagnostics.hh"

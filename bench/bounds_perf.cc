@@ -29,6 +29,7 @@
 #include "eval/bench_options.hh"
 #include "bounds/reference.hh"
 #include "bounds/superblock_bounds.hh"
+#include "eval/pipeline.hh"
 #include "support/diagnostics.hh"
 #include "support/json.hh"
 #include "support/metrics.hh"

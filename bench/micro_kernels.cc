@@ -27,6 +27,7 @@
 #include "bounds/reference.hh"
 #include "bounds/superblock_bounds.hh"
 #include "core/balance_scheduler.hh"
+#include "eval/pipeline.hh"
 #include "sched/priorities.hh"
 #include "support/json.hh"
 #include "support/perf_counters.hh"

@@ -13,6 +13,7 @@
 
 #include "bounds/superblock_bounds.hh"
 #include "eval/bench_options.hh"
+#include "eval/pipeline.hh"
 #include "sched/optimal.hh"
 #include "support/parallel_for.hh"
 #include "support/stats.hh"

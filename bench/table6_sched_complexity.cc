@@ -43,10 +43,7 @@ main(int argc, char **argv)
     scheds.push_back(
         std::make_shared<BalanceScheduler>(fullCfg, "Balance-full"));
 
-    std::vector<const Superblock *> flat;
-    for (const BenchmarkProgram &prog : suite)
-        for (const Superblock &sb : prog.superblocks)
-            flat.push_back(&sb);
+    std::vector<SuiteSlot> flat = flattenSuite(suite);
 
     for (const MachineModel &machine : opts.machines) {
         // Trip counts land in per-superblock slots and are folded
@@ -57,7 +54,7 @@ main(int argc, char **argv)
         parallelFor(
             flat.size(),
             [&](std::size_t s) {
-                const Superblock &sb = *flat[s];
+                const Superblock &sb = *flat[s].sb;
                 GraphContext ctx(sb);
                 BoundConfig boundCfg;
                 BoundsToolkit toolkit(ctx, machine, boundCfg);

@@ -12,7 +12,7 @@
  *   sb_tool slack <file.sb> <machine>       per-op EarlyRC/LateRC
  *   sb_tool dot <file.sb> <index>           emit Graphviz DOT
  *
- * Heuristics: SR, CP, G*, DHASY, Help, Balance.
+ * Heuristics: SR, CP, G*, DHASY, Help, Balance, Best.
  */
 
 #include <iostream>
@@ -40,7 +40,7 @@ usage()
         << "  sb_tool info <file.sb>\n"
         << "  sb_tool bounds <file.sb> <GP1|GP2|GP4|FS4|FS6|FS8>\n"
         << "  sb_tool sched <file.sb> <machine> "
-           "<SR|CP|G*|DHASY|Help|Balance>\n"
+           "<SR|CP|G*|DHASY|Help|Balance|Best>\n"
         << "  sb_tool slack <file.sb> <machine>\n"
         << "  sb_tool dot <file.sb> <index>\n";
     return 1;
@@ -49,12 +49,12 @@ usage()
 std::shared_ptr<const Scheduler>
 schedulerByName(const std::string &name)
 {
-    for (auto &sched : HeuristicSet::paperSet(false).primaries) {
-        if (sched->name() == name)
-            return sched;
+    for (const SchedulerEntry &e : schedulerTable()) {
+        if (name == e.name)
+            return e.scheduler;
     }
     bsFatal("unknown heuristic '", name,
-            "' (expected SR, CP, G*, DHASY, Help, or Balance)");
+            "' (expected SR, CP, G*, DHASY, Help, Balance, or Best)");
 }
 
 } // namespace

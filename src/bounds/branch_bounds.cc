@@ -19,6 +19,12 @@ cpEarly(const GraphContext &ctx)
     return out;
 }
 
+long long
+cpTrips(const Superblock &sb)
+{
+    return (long long)(sb.numBranches()) * (sb.numOps() + sb.numEdges());
+}
+
 std::vector<int>
 huEarly(const GraphContext &ctx, const MachineModel &machine,
         BoundCounters *counters)

@@ -33,6 +33,13 @@ namespace balance
 std::vector<int> cpEarly(const GraphContext &ctx);
 
 /**
+ * CP's Table 2 cost. cpEarly() reads the context's cached heights, so
+ * its cost is the dependence analysis itself: one trip per
+ * (op + edge, branch) pair.
+ */
+long long cpTrips(const Superblock &sb);
+
+/**
  * Hu's bound per branch: EarlyDC[b] plus the largest deadline
  * violation over all Elementary Resource Constraints computed from
  * dependence late times (the static form of Section 5.1, Step 2).

@@ -1,9 +1,7 @@
 #include "bounds/superblock_bounds.hh"
 
 #include <algorithm>
-#include <memory>
 
-#include "bounds/bound_scratch.hh"
 #include "support/diagnostics.hh"
 
 namespace balance
@@ -62,54 +60,6 @@ BoundsToolkit::lateRC(int branchIdx) const
                  branchIdx < int(lateRCPerBranch.size()),
              "branch index out of range: ", branchIdx);
     return lateRCPerBranch[std::size_t(branchIdx)];
-}
-
-WctBounds
-computeWctBounds(const GraphContext &ctx, const MachineModel &machine,
-                 const BoundConfig &config, BoundCounterSet *counters,
-                 BoundScratch *scratch)
-{
-    const Superblock &sb = ctx.sb();
-
-    std::unique_ptr<BoundScratch> owned;
-    if (!scratch) {
-        owned = std::make_unique<BoundScratch>(machine);
-        scratch = owned.get();
-    }
-
-    WctBounds out;
-    out.cp = wctFromBranchEarly(sb, cpEarly(ctx));
-    out.hu = wctFromBranchEarly(
-        sb, huEarly(ctx, machine, counters ? &counters->hu : nullptr));
-    out.rj = wctFromBranchEarly(
-        sb, rjEarly(ctx, machine, counters ? &counters->rj : nullptr));
-
-    BoundsToolkit toolkit(ctx, machine, config, counters, scratch);
-
-    std::vector<int> lcBranches;
-    lcBranches.reserve(std::size_t(sb.numBranches()));
-    for (OpId b : sb.branches())
-        lcBranches.push_back(toolkit.earlyRC()[std::size_t(b)]);
-    out.lc = wctFromBranchEarly(sb, lcBranches);
-
-    if (config.computePairwise && toolkit.pairwise()) {
-        // The paper's PW is never below the naive LC aggregation:
-        // every pair value is clamped to the EarlyRC floor.
-        out.pw = toolkit.pairwise()->superblockWct();
-        if (config.computeTriplewise) {
-            TriplewiseResult tw = computeTriplewise(
-                ctx, machine, toolkit.earlyRC(), toolkit.lateRCAll(),
-                *toolkit.pairwise(), config.triplewise,
-                counters ? &counters->tw : nullptr, scratch);
-            out.tw = tw.wct;
-        } else {
-            out.tw = out.pw;
-        }
-    } else {
-        out.pw = out.lc;
-        out.tw = out.lc;
-    }
-    return out;
 }
 
 } // namespace balance

@@ -8,7 +8,8 @@
  *
  * BoundsToolkit bundles the artifacts the Balance heuristic consumes
  * (EarlyRC, per-branch LateRC, pairwise tradeoff points) so they are
- * computed once per (superblock, machine) pair.
+ * computed once per (superblock, machine) pair. The ladder itself is
+ * assembled in one place, eval/pipeline.hh (computeWctBounds).
  */
 
 #ifndef BALANCE_BOUNDS_SUPERBLOCK_BOUNDS_HH
@@ -47,7 +48,7 @@ struct WctBounds
     double tightest() const;
 };
 
-/** Configuration for computeWctBounds / BoundsToolkit. */
+/** Configuration for the bound ladder and BoundsToolkit. */
 struct BoundConfig
 {
     LcOptions lc;
@@ -115,22 +116,6 @@ class BoundsToolkit
     std::vector<std::vector<int>> lateRCPerBranch;
     std::unique_ptr<PairwiseBounds> pw;
 };
-
-/**
- * Compute all six WCT lower bounds for one superblock.
- *
- * @param ctx Analysis context.
- * @param machine Resource widths.
- * @param config Algorithm options (PW/TW can be disabled).
- * @param counters Optional per-algorithm cost accounting.
- * @param scratch Optional worker-private working storage reused
- *        across calls; a private one is created when needed.
- */
-WctBounds computeWctBounds(const GraphContext &ctx,
-                           const MachineModel &machine,
-                           const BoundConfig &config = {},
-                           BoundCounterSet *counters = nullptr,
-                           BoundScratch *scratch = nullptr);
 
 } // namespace balance
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "eval/pipeline.hh"
 #include "graph/analysis.hh"
 #include "support/diagnostics.hh"
 #include "support/metrics.hh"
@@ -12,22 +13,6 @@
 
 namespace balance
 {
-
-namespace
-{
-
-/** Flatten a suite into suite-order superblock pointers. */
-std::vector<const Superblock *>
-flattenSuite(const std::vector<BenchmarkProgram> &suite)
-{
-    std::vector<const Superblock *> flat;
-    for (const BenchmarkProgram &prog : suite)
-        for (const Superblock &sb : prog.superblocks)
-            flat.push_back(&sb);
-    return flat;
-}
-
-} // namespace
 
 std::vector<BoundQuality>
 evaluateBoundQuality(const std::vector<BenchmarkProgram> &suite,
@@ -40,12 +25,12 @@ evaluateBoundQuality(const std::vector<BenchmarkProgram> &suite,
 
     // Parallel phase: one WctBounds slot per superblock, filled in
     // any order by the pool; computeWctBounds is pure.
-    std::vector<const Superblock *> flat = flattenSuite(suite);
+    std::vector<SuiteSlot> flat = flattenSuite(suite);
     std::vector<WctBounds> slots(flat.size());
     parallelFor(
         flat.size(),
         [&](std::size_t i) {
-            GraphContext ctx(*flat[i]);
+            GraphContext ctx(*flat[i].sb);
             slots[i] = computeWctBounds(ctx, machine, config);
         },
         threads);
@@ -93,81 +78,41 @@ evaluateBoundCost(const std::vector<BenchmarkProgram> &suite,
     const char *names[8] = {"CP",          "Hu", "RJ", "LC",
                             "LC-original", "LC-reverse", "PW", "TW"};
 
-    std::vector<const Superblock *> flat = flattenSuite(suite);
-    std::vector<std::array<double, 8>> slots(flat.size());
-
-    // Exact trip totals per slot for the metric registry: the rows
-    // hold doubles (for means/medians), but the Table 2 counters are
-    // integers and the registry fold must match them exactly.
-    const bool foldMetrics = metricsCollectionEnabled();
-    std::vector<std::array<long long, 8>> tripSlots(
-        foldMetrics ? flat.size() : 0);
-
+    std::vector<SuiteSlot> flat = flattenSuite(suite);
+    std::vector<std::array<long long, 8>> slots(flat.size());
     parallelFor(
         flat.size(),
         [&](std::size_t idx) {
-            const Superblock &sb = *flat[idx];
-            std::array<double, 8> &row = slots[idx];
+            const Superblock &sb = *flat[idx].sb;
             GraphContext ctx(sb);
+            EvalPlan plan;
+            plan.bounds = config;
+            BoundCounterSet c;
+            plan.counters = &c;
+            evaluate(ctx, machine, plan);
 
-            // CP's cost is the dependence analysis itself: one trip
-            // per (edge, branch) pair in the height computations.
-            long long cpTrips = 0;
-            for (int bi = 0; bi < sb.numBranches(); ++bi)
-                cpTrips += sb.numOps() + sb.numEdges();
-            row[0] = double(cpTrips);
+            // LC-original: the LC rung again with Theorem 1 off; only
+            // its trips are kept.
+            EvalPlan original;
+            original.bounds = config;
+            original.bounds.lc.useTheorem1 = false;
+            original.bounds.computePairwise = false;
+            BoundCounterSet o;
+            original.counters = &o;
+            evaluate(ctx, machine, original);
 
-            BoundCounters hu;
-            huEarly(ctx, machine, &hu);
-            row[1] = double(hu.trips);
-
-            BoundCounters rj;
-            rjEarly(ctx, machine, &rj);
-            row[2] = double(rj.trips);
-
-            BoundCounters lc;
-            std::vector<int> earlyRC =
-                lcEarlyRCForSuperblock(ctx, machine, {}, &lc);
-            row[3] = double(lc.trips);
-
-            BoundCounters lcOrig;
-            LcOptions noTheorem1;
-            noTheorem1.useTheorem1 = false;
-            lcEarlyRCForSuperblock(ctx, machine, noTheorem1, &lcOrig);
-            row[4] = double(lcOrig.trips);
-
-            BoundCounters lcRev;
-            std::vector<std::vector<int>> lateRCs;
-            for (int bi = 0; bi < sb.numBranches(); ++bi) {
-                lateRCs.push_back(
-                    lateRCFor(ctx, machine, bi, earlyRC, &lcRev));
-            }
-            row[5] = double(lcRev.trips);
-
-            BoundCounters pwC;
-            PairwiseBounds pw(ctx, machine, earlyRC, lateRCs,
-                              config.pairwise, &pwC);
-            row[6] = double(pwC.trips);
-
-            BoundCounters twC;
-            computeTriplewise(ctx, machine, earlyRC, lateRCs, pw,
-                              config.triplewise, &twC);
-            row[7] = double(twC.trips);
-
-            if (foldMetrics) {
-                tripSlots[idx] = {cpTrips,      hu.trips,  rj.trips,
-                                  lc.trips,     lcOrig.trips,
-                                  lcRev.trips,  pwC.trips, twC.trips};
-            }
+            slots[idx] = {cpTrips(sb), c.hu.trips, c.rj.trips,
+                          c.lc.trips,  o.lc.trips, c.lcReverse.trips,
+                          c.pw.trips,  c.tw.trips};
         },
         threads);
 
     std::vector<SampleStat> trips(8);
-    for (const std::array<double, 8> &row : slots)
+    for (const std::array<long long, 8> &row : slots)
         for (int i = 0; i < 8; ++i)
-            trips[std::size_t(i)].add(row[std::size_t(i)]);
+            trips[std::size_t(i)].add(double(row[std::size_t(i)]));
 
-    if (foldMetrics) {
+    if (metricsCollectionEnabled()) {
         // Serial, suite-order fold; totals equal the BoundCounters
         // sums bit for bit (pinned by the telemetry integration
         // test).
@@ -177,7 +122,7 @@ evaluateBoundCost(const std::vector<BenchmarkProgram> &suite,
             "bounds.trips.lc_original", "bounds.trips.lc_reverse",
             "bounds.trips.pw",          "bounds.trips.tw"};
         MetricRegistry &reg = MetricRegistry::global();
-        for (const std::array<long long, 8> &row : tripSlots)
+        for (const std::array<long long, 8> &row : slots)
             for (int i = 0; i < 8; ++i)
                 reg.counter(metricNames[i]).add(row[std::size_t(i)]);
     }

@@ -1,10 +1,8 @@
 #include "eval/experiment.hh"
 
-#include <algorithm>
-#include <cmath>
+#include <string_view>
 
 #include "sched/decision_log.hh"
-#include "sched/priorities.hh"
 #include "support/diagnostics.hh"
 #include "support/flight_recorder.hh"
 #include "support/metrics.hh"
@@ -16,18 +14,45 @@
 namespace balance
 {
 
+const std::vector<SchedulerEntry> &
+schedulerTable()
+{
+    static const std::vector<SchedulerEntry> table = [] {
+        std::vector<SchedulerEntry> t = {
+            {"sr", "SR",
+             std::make_shared<SuccessiveRetirementScheduler>()},
+            {"cp", "CP", std::make_shared<CriticalPathScheduler>()},
+            {"gstar", "G*", std::make_shared<GStarScheduler>()},
+            {"dhasy", "DHASY", std::make_shared<DhasyScheduler>()},
+            {"help", "Help", std::make_shared<HelpScheduler>()},
+            {"balance", "Balance", std::make_shared<BalanceScheduler>()},
+        };
+        std::vector<std::shared_ptr<const Scheduler>> primaries;
+        for (const SchedulerEntry &e : t)
+            primaries.push_back(e.scheduler);
+        t.push_back({"best", "Best",
+                     std::make_shared<BestScheduler>(primaries)});
+        return t;
+    }();
+    return table;
+}
+
+const SchedulerEntry *
+schedulerByKey(const std::string &key)
+{
+    for (const SchedulerEntry &e : schedulerTable())
+        if (key == e.key)
+            return &e;
+    return nullptr;
+}
+
 HeuristicSet
 HeuristicSet::paperSet(bool withBest)
 {
     HeuristicSet set;
-    set.primaries = {
-        std::make_shared<SuccessiveRetirementScheduler>(),
-        std::make_shared<CriticalPathScheduler>(),
-        std::make_shared<GStarScheduler>(),
-        std::make_shared<DhasyScheduler>(),
-        std::make_shared<HelpScheduler>(),
-        std::make_shared<BalanceScheduler>(),
-    };
+    for (const SchedulerEntry &e : schedulerTable())
+        if (std::string_view(e.key) != "best")
+            set.primaries.push_back(e.scheduler);
     set.withBest = withBest;
     return set;
 }
@@ -66,160 +91,53 @@ evaluateSuperblock(const Superblock &sb, const MachineModel &machine,
 
     // Telemetry rides in a worker-private scratch + stats structs so
     // the hot paths never touch shared state; everything is folded
-    // into the registry by the caller's serial reduction.
+    // into the registry by the caller's serial reduction. One
+    // scheduler scratch per evaluation keeps its counters
+    // per-superblock, so that fold is thread-invariant.
     const bool wantTelemetry =
         metricsCollectionEnabled() || decisionLogEnabled();
-    std::unique_ptr<BoundScratch> scratch;
-    if (wantTelemetry)
-        scratch = std::make_unique<BoundScratch>(machine);
-
-    // One toolkit serves both the bound evaluation and Balance.
-    BoundsToolkit toolkit(ctx, machine, opts.bounds, nullptr,
-                          scratch.get());
-
-    SuperblockEval eval;
-    eval.frequency = sb.execFrequency();
-
-    // Bounds (reusing the toolkit's LC/LateRC/PW artifacts).
-    eval.bounds.cp = wctFromBranchEarly(sb, cpEarly(ctx));
-    eval.bounds.hu = wctFromBranchEarly(sb, huEarly(ctx, machine));
-    eval.bounds.rj = wctFromBranchEarly(sb, rjEarly(ctx, machine));
-    std::vector<int> lcBranches;
-    for (OpId b : sb.branches())
-        lcBranches.push_back(toolkit.earlyRC()[std::size_t(b)]);
-    eval.bounds.lc = wctFromBranchEarly(sb, lcBranches);
-    if (toolkit.pairwise()) {
-        eval.bounds.pw = toolkit.pairwise()->superblockWct();
-        if (opts.bounds.computeTriplewise) {
-            std::vector<std::vector<int>> lateRCs;
-            for (int bi = 0; bi < sb.numBranches(); ++bi)
-                lateRCs.push_back(toolkit.lateRC(bi));
-            eval.bounds.tw = computeTriplewise(
-                                 ctx, machine, toolkit.earlyRC(), lateRCs,
-                                 *toolkit.pairwise(),
-                                 opts.bounds.triplewise, nullptr,
-                                 scratch.get())
-                                 .wct;
-        } else {
-            eval.bounds.tw = eval.bounds.pw;
-        }
-    } else {
-        eval.bounds.pw = eval.bounds.lc;
-        eval.bounds.tw = eval.bounds.lc;
-    }
-    eval.tightest = eval.bounds.tightest();
-
-    // One scheduler scratch per evaluation: the priority tables are
-    // computed once here and shared by every heuristic and the Best
-    // grid, and its counters stay per-superblock so the serial fold
-    // below is thread-invariant.
+    BoundScratch scratch(machine);
     SchedScratch schedScratch;
-
-    ScheduleRequest req;
-    req.scratch = &schedScratch;
-    if (opts.noProfileSteering)
-        req.branchWeights = noProfileWeights(sb);
-
-    // Telemetry receivers for the heuristic runs. Attaching them is
-    // observational only: SchedulerStats and DecisionLog are written,
-    // never read, by the schedulers.
     SchedulerStats balStats;
     SchedulerStats listStats;
     DecisionLog dlog(sb.name());
 
-    // Primaries; Balance reuses the toolkit. The best primary
-    // schedule is kept whole: it seeds the B&B certifier below, so
-    // the certified incumbent can never be worse than the lineup.
-    double bestWct = 0.0;
-    bool haveBest = false;
-    Schedule bestPrimary;
-    for (const auto &sched : set.primaries) {
-        Schedule s = [&] {
-            auto *bal = dynamic_cast<const BalanceScheduler *>(
-                sched.get());
-            if (bal && bal->config().useRcBounds) {
-                ScheduleRequest balReq = req;
-                if (wantTelemetry)
-                    balReq.stats = &balStats;
-                if (decisionLogEnabled())
-                    balReq.decisionLog = &dlog;
-                return bal->runWithToolkit(ctx, machine, toolkit,
-                                           balReq);
-            }
-            ScheduleRequest otherReq = req;
-            if (wantTelemetry)
-                otherReq.stats = &listStats;
-            return sched->run(ctx, machine, otherReq);
-        }();
-        s.validate(sb, machine);
-        double w = s.wct(sb);
-        eval.wct.push_back(w);
-        if (!haveBest || w < bestWct) {
-            bestWct = w;
-            haveBest = true;
-            bestPrimary = s;
-        }
-    }
-
-    // Best: the primaries' envelope plus the 11x11 combo grid, now
-    // blending the scratch's cached priority tables and deduplicating
-    // repeated rank permutations. Best selects by true probabilities
-    // even under no-profile steering. Like before, the grid runs
-    // without SchedulerStats attached.
-    if (set.withBest) {
-        double gridWct = bestGridWct(ctx, machine, req);
-        if (!haveBest || gridWct < bestWct) {
-            bestWct = gridWct;
-            haveBest = true;
-        }
-        eval.wct.push_back(bestWct);
-    }
-
-    // A heuristic can never beat a valid lower bound; this is the
-    // strongest end-to-end cross-check in the library, so keep it
-    // always on.
-    for (double w : eval.wct) {
-        bsAssert(w >= eval.tightest - 1e-6,
-                 "schedule beats the lower bound on '", sb.name(),
-                 "': wct ", w, " < bound ", eval.tightest);
-    }
-
-    // The B&B certifier: single-threaded here because this function
+    EvalPlan plan;
+    plan.bounds = opts.bounds;
+    plan.lineup = set.primaries;
+    plan.withBest = set.withBest;
+    if (opts.noProfileSteering)
+        plan.branchWeights = noProfileWeights(sb);
+    // The certifier keeps the plan's single thread: this function
     // already runs on a pool worker (evaluatePopulation parallelizes
     // over superblocks); the engine is deterministic either way.
-    if (opts.computeBnb && haveBest &&
-        sb.numOps() <= opts.bnbMaxOps) {
-        BnbOptions bnbOpts;
-        bnbOpts.maxNodes = opts.bnbMaxNodes;
-        bnbOpts.threads = 1;
-        bnbOpts.seedWithBest = false; // the lineup's best seeds it
-        BnbRequest bnbReq;
-        bnbReq.toolkit = &toolkit;
-        bnbReq.seedSchedule = &bestPrimary;
-        bnbReq.staticLowerBound = eval.tightest;
-        BnbResult r = bnbSchedule(ctx, machine, bnbOpts, bnbReq);
-        r.schedule.validate(sb, machine);
-        bsAssert(r.wct <= bestWct + 1e-9 &&
-                     r.lowerBound >= eval.tightest - 1e-9,
-                 "bnb certificate out of range on '", sb.name(), "'");
-        auto summary = std::make_shared<BnbEvalSummary>();
-        summary->wct = r.wct;
-        summary->lowerBound = r.lowerBound;
-        summary->proven = r.proven;
-        summary->exhausted = r.exhausted;
-        summary->counters = r.counters;
-        eval.bnb = std::move(summary);
+    plan.certify = opts.computeBnb;
+    plan.bnbMaxNodes = opts.bnbMaxNodes;
+    plan.bnbMaxOps = opts.bnbMaxOps;
+    plan.scratch = &scratch;
+    plan.schedScratch = &schedScratch;
+    if (wantTelemetry) {
+        plan.balanceStats = &balStats;
+        plan.listStats = &listStats;
     }
+    if (decisionLogEnabled())
+        plan.decisionLog = &dlog;
+    EvalOutcome r = evaluate(ctx, machine, plan);
 
+    SuperblockEval eval;
+    eval.bounds = r.bounds;
+    eval.tightest = r.tightest;
+    eval.wct = std::move(r.wct);
+    eval.frequency = sb.execFrequency();
+    eval.bnb = std::move(r.bnb);
     if (wantTelemetry) {
         auto tel = std::make_shared<SuperblockTelemetry>();
         tel->balance = balStats;
         tel->list = listStats;
-        tel->engine = scratch->stats;
+        tel->engine = scratch.stats;
         tel->sched = schedScratch.stats;
-        tel->relaxResets = scratch->table.resetCount();
-        tel->arenaHighWater =
-            (long long)(scratch->arena.highWaterBytes());
+        tel->relaxResets = scratch.table.resetCount();
+        tel->arenaHighWater = (long long)(scratch.arena.highWaterBytes());
         tel->schedArenaHighWater =
             (long long)(schedScratch.highWaterBytes());
         if (decisionLogEnabled()) {
@@ -250,10 +168,7 @@ evaluatePopulation(const std::vector<BenchmarkProgram> &suite,
     // superblock, the serial reduction below walks the slots in this
     // exact order so every float accumulation happens in the same
     // sequence as a serial run.
-    std::vector<const Superblock *> flat;
-    for (const BenchmarkProgram &prog : suite)
-        for (const Superblock &sb : prog.superblocks)
-            flat.push_back(&sb);
+    std::vector<SuiteSlot> flat = flattenSuite(suite);
 
     // Live progress for /progress: registered only when the tracker
     // is on, so a server-off run pays one relaxed load right here and
@@ -269,7 +184,7 @@ evaluatePopulation(const std::vector<BenchmarkProgram> &suite,
     parallelFor(
         flat.size(),
         [&](std::size_t i) {
-            evals[i] = evaluateSuperblock(*flat[i], machine, set, opts);
+            evals[i] = evaluateSuperblock(*flat[i].sb, machine, set, opts);
             if (progress)
                 progress->tick();
         },
@@ -290,28 +205,14 @@ evaluatePopulation(const std::vector<BenchmarkProgram> &suite,
     const bool foldMetrics = metricsCollectionEnabled();
 
     for (std::size_t slot = 0; slot < flat.size(); ++slot) {
-        const Superblock &sb = *flat[slot];
+        const Superblock &sb = *flat[slot].sb;
         const SuperblockEval &eval = evals[slot];
         if (perSuperblock)
             perSuperblock(sb, eval);
 
         if (const SuperblockTelemetry *tel = eval.telemetry.get()) {
             if (foldMetrics) {
-                const SchedulerStats &bal = tel->balance;
-                reg.counter("sched.balance.decisions")
-                    .add(bal.decisions);
-                reg.counter("sched.balance.loop_trips")
-                    .add(bal.loopTrips);
-                reg.counter("sched.balance.full_updates")
-                    .add(bal.fullUpdates);
-                reg.counter("sched.balance.light_updates")
-                    .add(bal.lightUpdates);
-                reg.counter("sched.balance.selection_passes")
-                    .add(bal.selectionPasses);
-                reg.counter("sched.balance.candidates")
-                    .add(bal.candidatesSum);
-                reg.histogram("sched.balance.decisions_per_superblock")
-                    .observe(bal.decisions);
+                foldBalanceStats(reg, tel->balance);
 
                 const SchedulerStats &list = tel->list;
                 reg.counter("sched.list.decisions").add(list.decisions);
@@ -333,40 +234,15 @@ evaluatePopulation(const std::vector<BenchmarkProgram> &suite,
                 reg.gauge("bounds.scratch.high_water_bytes")
                     .observeMax(tel->arenaHighWater);
 
-                reg.counter("sched.priority_tables.hits")
-                    .add(tel->sched.tableHits);
-                reg.counter("sched.priority_tables.misses")
-                    .add(tel->sched.tableMisses);
-                reg.counter("sched.best.grid_runs")
-                    .add(tel->sched.gridRuns);
-                reg.counter("sched.best.grid_skipped")
-                    .add(tel->sched.gridSkipped);
-                reg.gauge("sched.scratch.high_water_bytes")
-                    .observeMax(tel->schedArenaHighWater);
+                foldSchedEngineStats(reg, tel->sched,
+                                     tel->schedArenaHighWater);
             }
             if (!tel->decisionLog.empty())
                 appendDecisionLog(tel->decisionLog);
         }
 
-        if (const BnbEvalSummary *bnb = eval.bnb.get();
-            bnb && foldMetrics) {
-            reg.counter("bnb.instances").add(1);
-            if (bnb->proven)
-                reg.counter("bnb.proven").add(1);
-            reg.counter("bnb.nodes_expanded")
-                .add(bnb->counters.nodesExpanded);
-            reg.counter("bnb.pruned_by_bound")
-                .add(bnb->counters.prunedByBound);
-            reg.counter("bnb.pruned_by_dominance")
-                .add(bnb->counters.prunedByDominance);
-            reg.counter("bnb.incumbent_updates")
-                .add(bnb->counters.incumbentUpdates);
-            reg.counter("bnb.tasks_completed")
-                .add(bnb->counters.tasksCompleted);
-            reg.counter("bnb.tasks_aborted")
-                .add(bnb->counters.tasksAborted);
-            reg.counter("bnb.rounds").add(bnb->counters.rounds);
-        }
+        if (eval.bnb && foldMetrics)
+            foldBnb(reg, *eval.bnb);
 
         ++metrics.superblocks;
         double lbCycles = eval.frequency * eval.tightest;

@@ -5,10 +5,9 @@
  * aggregate the paper's metrics (dynamic cycle counts, trivial
  * superblock split, slowdowns, optimal fractions, CDF curves).
  *
- * Heavy artifacts (GraphContext, the LC/LateRC/Pairwise toolkit)
- * are computed once per (superblock, machine) and shared between
- * the bound evaluation and the Balance heuristic, mirroring how a
- * production compiler would structure the pass.
+ * evaluateSuperblock turns EvalOptions into a plan for the one
+ * evaluation pipeline (eval/pipeline.hh) that report capture and the
+ * service also run. The scheduler table names every scheduler.
  */
 
 #ifndef BALANCE_EVAL_EXPERIMENT_HH
@@ -20,16 +19,27 @@
 #include <vector>
 
 #include "bounds/bound_scratch.hh"
-#include "bounds/superblock_bounds.hh"
 #include "core/balance_scheduler.hh"
-#include "sched/best_scheduler.hh"
-#include "sched/bnb/bnb.hh"
+#include "eval/pipeline.hh"
 #include "sched/list_scheduler.hh"
-#include "sched/sched_scratch.hh"
 #include "workload/suite.hh"
 
 namespace balance
 {
+
+/** A named scheduler; instances are const and shared by all threads. */
+struct SchedulerEntry
+{
+    const char *key;  //!< service key ("balance")
+    const char *name; //!< display name ("Balance")
+    std::shared_ptr<const Scheduler> scheduler;
+};
+
+/** @return the paper's lineup in its order, then Best over it. */
+const std::vector<SchedulerEntry> &schedulerTable();
+
+/** @return the entry with service key @p key, or null. */
+const SchedulerEntry *schedulerByKey(const std::string &key);
 
 /** The paper's heuristic lineup (Section 6.2). */
 struct HeuristicSet
@@ -39,7 +49,7 @@ struct HeuristicSet
     /** Include the Best envelope (primaries + 121 combos). */
     bool withBest = true;
 
-    /** @return the standard lineup. */
+    /** @return the standard lineup (schedulerTable() minus Best). */
     static HeuristicSet paperSet(bool withBest = true);
 
     /** @return display names, Best last when enabled. */
@@ -59,33 +69,16 @@ struct EvalOptions
     bool noProfileSteering = false;
     /**
      * Also run the branch-and-bound certifier on each superblock
-     * (size-capped by @ref bnbMaxOps), seeded with the best primary
-     * schedule. Off by default: the certifier costs orders of
-     * magnitude more than every heuristic combined.
+     * (size-capped by @ref bnbMaxOps), seeded with the Best
+     * envelope's winner (the best primary when Best is off). Off by
+     * default: the certifier costs orders of magnitude more than
+     * every heuristic combined.
      */
     bool computeBnb = false;
     /** Node budget per superblock for the certifier. */
     long long bnbMaxNodes = 200000;
     /** Superblocks above this op count skip the certifier. */
     int bnbMaxOps = 100;
-};
-
-/**
- * Branch-and-bound certificate captured for one superblock (present
- * in SuperblockEval only when EvalOptions::computeBnb is set and the
- * instance fits under EvalOptions::bnbMaxOps). `wct` is the
- * certified incumbent — never worse than the best primary heuristic,
- * which seeds the search — and `lowerBound` is a proven floor on the
- * optimal WCT, so `proven` upgrades the instance's gap attribution
- * from "vs. bound" to "vs. optimum".
- */
-struct BnbEvalSummary
-{
-    double wct = 0.0;
-    double lowerBound = 0.0;
-    bool proven = false;
-    bool exhausted = false;
-    BnbCounters counters;
 };
 
 /**

@@ -1,16 +1,12 @@
 #include "report/capture.hh"
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <memory>
 
 #include "bounds/bound_scratch.hh"
-#include "core/balance_scheduler.hh"
 #include "eval/experiment.hh"
-#include "sched/bnb/bnb.hh"
 #include "sched/decision_log.hh"
-#include "sched/priorities.hh"
 #include "support/diagnostics.hh"
 #include "support/flight_recorder.hh"
 #include "support/json.hh"
@@ -53,13 +49,8 @@ struct SbCapture
     long long schedArenaHighWater = 0;
     std::string decisionLines; //!< Balance decision log, JSON lines
     std::vector<BranchRow> branches;
-    /** B&B certificate; valid only when bnbRan. */
-    bool bnbRan = false;
-    double bnbWct = 0.0;
-    double bnbLower = 0.0;
-    bool bnbProven = false;
-    bool bnbExhausted = false;
-    BnbCounters bnbCounters;
+    /** B&B certificate; present when the certifier ran. */
+    std::shared_ptr<BnbEvalSummary> bnb;
 };
 
 /** Row/metric key order for the trip counters. */
@@ -71,150 +62,62 @@ constexpr const char *tripMetricNames[7] = {
     "bounds.trips.tw"};
 
 /**
- * Evaluate one superblock with full accounting. Mirrors
- * eval/experiment.cc evaluateSuperblock, but returns the raw
- * integers (trip counters, Balance stats, decision log, per-branch
- * detail) instead of folding them into the global registry.
+ * Evaluate one superblock through the pipeline with every telemetry
+ * receiver attached, keeping the raw integers (trip counters, Balance
+ * stats, decision log, per-branch detail) for the row instead of
+ * folding them into the global registry.
  */
 SbCapture
 captureSuperblock(const Superblock &sb, const MachineModel &machine,
                   const HeuristicSet &set, const CaptureOptions &opts)
 {
-    const BoundConfig &config = opts.bounds;
     GraphContext ctx(sb);
     BoundScratch scratch(machine);
+    SchedScratch schedScratch;
     BoundCounterSet counters;
-    BoundsToolkit toolkit(ctx, machine, config, &counters, &scratch);
-
+    DecisionLog dlog(sb.name());
     SbCapture cap;
 
-    // The six bounds, reusing the toolkit's LC/LateRC/PW artifacts.
-    cap.bounds.cp = wctFromBranchEarly(sb, cpEarly(ctx));
-    cap.bounds.hu = wctFromBranchEarly(
-        sb, huEarly(ctx, machine, &counters.hu));
-    std::vector<int> rjBranches = rjEarly(ctx, machine, &counters.rj);
-    cap.bounds.rj = wctFromBranchEarly(sb, rjBranches);
-    std::vector<int> lcBranches;
-    lcBranches.reserve(std::size_t(sb.numBranches()));
-    for (OpId b : sb.branches())
-        lcBranches.push_back(toolkit.earlyRC()[std::size_t(b)]);
-    cap.bounds.lc = wctFromBranchEarly(sb, lcBranches);
-    if (toolkit.pairwise()) {
-        cap.bounds.pw = toolkit.pairwise()->superblockWct();
-        if (config.computeTriplewise) {
-            cap.bounds.tw = computeTriplewise(
-                                ctx, machine, toolkit.earlyRC(),
-                                toolkit.lateRCAll(), *toolkit.pairwise(),
-                                config.triplewise, &counters.tw,
-                                &scratch)
-                                .wct;
-        } else {
-            cap.bounds.tw = cap.bounds.pw;
-        }
-    } else {
-        cap.bounds.pw = cap.bounds.lc;
-        cap.bounds.tw = cap.bounds.lc;
-    }
-    cap.tightest = cap.bounds.tightest();
+    EvalPlan plan;
+    plan.bounds = opts.bounds;
+    plan.lineup = set.primaries;
+    plan.withBest = set.withBest;
+    plan.certify = opts.withBnb;
+    plan.bnbMaxNodes = opts.bnbMaxNodes;
+    plan.bnbMaxOps = opts.bnbMaxOps;
+    plan.counters = &counters;
+    plan.balanceStats = &cap.bal;
+    plan.decisionLog = &dlog;
+    plan.scratch = &scratch;
+    plan.schedScratch = &schedScratch;
+    EvalOutcome r = evaluate(ctx, machine, plan);
 
-    // Table 2 accounting: CP's cost is the dependence analysis — one
-    // trip per (op + edge, branch) pair (eval/bounds_eval.cc).
-    long long cpTrips = (long long)(sb.numBranches()) *
-                        (sb.numOps() + sb.numEdges());
-    cap.trips = {cpTrips,          counters.hu.trips,
+    cap.bounds = r.bounds;
+    cap.tightest = r.tightest;
+    cap.wct = std::move(r.wct);
+    cap.trips = {cpTrips(sb),       counters.hu.trips,
                  counters.rj.trips, counters.lc.trips,
                  counters.lcReverse.trips, counters.pw.trips,
                  counters.tw.trips};
-
-    // Heuristics; Balance reuses the toolkit and feeds the log. One
-    // scheduler scratch shares the priority tables across the
-    // primaries and the Best grid.
-    SchedScratch schedScratch;
-    ScheduleRequest plainReq;
-    plainReq.scratch = &schedScratch;
-    DecisionLog dlog(sb.name());
-    Schedule balanceSchedule;
-    bool haveBalance = false;
-    Schedule bestPrimary;
-    double bestPrimaryWct = 0.0;
-    for (const auto &sched : set.primaries) {
-        Schedule s = [&] {
-            auto *bal =
-                dynamic_cast<const BalanceScheduler *>(sched.get());
-            if (bal && bal->config().useRcBounds) {
-                ScheduleRequest req = plainReq;
-                req.stats = &cap.bal;
-                req.decisionLog = &dlog;
-                Schedule out =
-                    bal->runWithToolkit(ctx, machine, toolkit, req);
-                balanceSchedule = out;
-                haveBalance = true;
-                return out;
-            }
-            return sched->run(ctx, machine, plainReq);
-        }();
-        s.validate(sb, machine);
-        double w = s.wct(sb);
-        if (cap.wct.empty() || w < bestPrimaryWct) {
-            bestPrimaryWct = w;
-            bestPrimary = s;
-        }
-        cap.wct.push_back(w);
-    }
-
-    // Best: the primaries' envelope plus the (deduplicated) combo
-    // grid, without SchedulerStats attached, as before.
-    if (set.withBest) {
-        double bestWct = *std::min_element(cap.wct.begin(),
-                                           cap.wct.end());
-        bestWct = std::min(bestWct, bestGridWct(ctx, machine, plainReq));
-        cap.wct.push_back(bestWct);
-    }
-
-    for (double w : cap.wct) {
-        bsAssert(w >= cap.tightest - 1e-6,
-                 "schedule beats the lower bound on '", sb.name(),
-                 "': wct ", w, " < bound ", cap.tightest);
-    }
-
-    // The B&B certifier, seeded with the best primary schedule so
-    // its incumbent can never be worse than the lineup. threads=1:
-    // this function already runs on a pool worker.
-    if (opts.withBnb && !cap.wct.empty() &&
-        sb.numOps() <= opts.bnbMaxOps) {
-        BnbOptions bnbOpts;
-        bnbOpts.maxNodes = opts.bnbMaxNodes;
-        bnbOpts.threads = 1;
-        bnbOpts.seedWithBest = false;
-        BnbRequest bnbReq;
-        bnbReq.toolkit = &toolkit;
-        bnbReq.seedSchedule = &bestPrimary;
-        bnbReq.staticLowerBound = cap.tightest;
-        BnbResult r = bnbSchedule(ctx, machine, bnbOpts, bnbReq);
-        r.schedule.validate(sb, machine);
-        cap.bnbRan = true;
-        cap.bnbWct = r.wct;
-        cap.bnbLower = r.lowerBound;
-        cap.bnbProven = r.proven;
-        cap.bnbExhausted = r.exhausted;
-        cap.bnbCounters = r.counters;
-    }
-
+    cap.bnb = std::move(r.bnb);
     cap.sched = schedScratch.stats;
     cap.schedArenaHighWater =
         (long long)(schedScratch.highWaterBytes());
     cap.decisionLines = dlog.toJsonLines();
 
     // Per-branch detail off the achieved (Balance) schedule.
+    const Schedule *balance =
+        r.balanceSlot >= 0 ? &r.schedules[std::size_t(r.balanceSlot)]
+                           : nullptr;
     for (int bi = 0; bi < sb.numBranches(); ++bi) {
         OpId b = sb.branches()[std::size_t(bi)];
         BranchRow row;
         row.idx = bi;
         row.weight = sb.exitProb(b);
         row.depHeight = ctx.earlyDC()[std::size_t(b)];
-        row.rjEarly = rjBranches[std::size_t(bi)];
-        row.lcEarly = lcBranches[std::size_t(bi)];
-        row.issue = haveBalance ? balanceSchedule.issueOf(b) : -1;
+        row.rjEarly = r.rjBranchEarly[std::size_t(bi)];
+        row.lcEarly = r.lcBranchEarly[std::size_t(bi)];
+        row.issue = balance ? balance->issueOf(b) : -1;
         row.latency = sb.op(b).latency;
         cap.branches.push_back(row);
     }
@@ -260,21 +163,20 @@ renderRow(const std::string &program, const Superblock &sb,
         .key("selection_passes").value(cap.bal.selectionPasses)
         .key("candidates").value(cap.bal.candidatesSum)
         .endObject();
-    if (cap.bnbRan) {
+    if (const BnbEvalSummary *bnb = cap.bnb.get()) {
+        const BnbCounters &c = bnb->counters;
         w.key("bnb").beginObject()
-            .key("wct").value(cap.bnbWct)
-            .key("lower_bound").value(cap.bnbLower)
-            .key("proven").value(cap.bnbProven)
-            .key("exhausted").value(cap.bnbExhausted)
-            .key("nodes_expanded").value(cap.bnbCounters.nodesExpanded)
-            .key("pruned_by_bound").value(cap.bnbCounters.prunedByBound)
-            .key("pruned_by_dominance")
-            .value(cap.bnbCounters.prunedByDominance)
-            .key("incumbent_updates")
-            .value(cap.bnbCounters.incumbentUpdates)
-            .key("tasks_completed").value(cap.bnbCounters.tasksCompleted)
-            .key("tasks_aborted").value(cap.bnbCounters.tasksAborted)
-            .key("rounds").value(cap.bnbCounters.rounds)
+            .key("wct").value(bnb->wct)
+            .key("lower_bound").value(bnb->lowerBound)
+            .key("proven").value(bnb->proven)
+            .key("exhausted").value(bnb->exhausted)
+            .key("nodes_expanded").value(c.nodesExpanded)
+            .key("pruned_by_bound").value(c.prunedByBound)
+            .key("pruned_by_dominance").value(c.prunedByDominance)
+            .key("incumbent_updates").value(c.incumbentUpdates)
+            .key("tasks_completed").value(c.tasksCompleted)
+            .key("tasks_aborted").value(c.tasksAborted)
+            .key("rounds").value(c.rounds)
             .endObject();
     }
     w.key("branch_detail").beginArray();
@@ -301,41 +203,10 @@ foldRow(MetricRegistry &reg, const SbCapture &cap)
     reg.counter("report.superblocks").add(1);
     for (int i = 0; i < 7; ++i)
         reg.counter(tripMetricNames[i]).add(cap.trips[std::size_t(i)]);
-    reg.counter("sched.balance.decisions").add(cap.bal.decisions);
-    reg.counter("sched.balance.loop_trips").add(cap.bal.loopTrips);
-    reg.counter("sched.balance.full_updates").add(cap.bal.fullUpdates);
-    reg.counter("sched.balance.light_updates")
-        .add(cap.bal.lightUpdates);
-    reg.counter("sched.balance.selection_passes")
-        .add(cap.bal.selectionPasses);
-    reg.counter("sched.balance.candidates").add(cap.bal.candidatesSum);
-    reg.histogram("sched.balance.decisions_per_superblock")
-        .observe(cap.bal.decisions);
-    reg.counter("sched.priority_tables.hits").add(cap.sched.tableHits);
-    reg.counter("sched.priority_tables.misses")
-        .add(cap.sched.tableMisses);
-    reg.counter("sched.best.grid_runs").add(cap.sched.gridRuns);
-    reg.counter("sched.best.grid_skipped").add(cap.sched.gridSkipped);
-    reg.gauge("sched.scratch.high_water_bytes")
-        .observeMax(cap.schedArenaHighWater);
-    if (cap.bnbRan) {
-        reg.counter("bnb.instances").add(1);
-        if (cap.bnbProven)
-            reg.counter("bnb.proven").add(1);
-        reg.counter("bnb.nodes_expanded")
-            .add(cap.bnbCounters.nodesExpanded);
-        reg.counter("bnb.pruned_by_bound")
-            .add(cap.bnbCounters.prunedByBound);
-        reg.counter("bnb.pruned_by_dominance")
-            .add(cap.bnbCounters.prunedByDominance);
-        reg.counter("bnb.incumbent_updates")
-            .add(cap.bnbCounters.incumbentUpdates);
-        reg.counter("bnb.tasks_completed")
-            .add(cap.bnbCounters.tasksCompleted);
-        reg.counter("bnb.tasks_aborted")
-            .add(cap.bnbCounters.tasksAborted);
-        reg.counter("bnb.rounds").add(cap.bnbCounters.rounds);
-    }
+    foldBalanceStats(reg, cap.bal);
+    foldSchedEngineStats(reg, cap.sched, cap.schedArenaHighWater);
+    if (cap.bnb)
+        foldBnb(reg, *cap.bnb);
 }
 
 } // namespace
@@ -352,14 +223,7 @@ captureRun(const CaptureOptions &opts)
     HeuristicSet set = HeuristicSet::paperSet(opts.withBest);
 
     std::vector<BenchmarkProgram> suite = buildSuite(opts.suite);
-    std::vector<const Superblock *> flat;
-    std::vector<const std::string *> flatProgram;
-    for (const BenchmarkProgram &prog : suite) {
-        for (const Superblock &sb : prog.superblocks) {
-            flat.push_back(&sb);
-            flatProgram.push_back(&prog.name);
-        }
-    }
+    std::vector<SuiteSlot> flat = flattenSuite(suite);
 
     RunManifest man;
     man.bench = "report_tool";
@@ -422,7 +286,7 @@ captureRun(const CaptureOptions &opts)
         parallelFor(
             flat.size(),
             [&](std::size_t i) {
-                slots[i] = captureSuperblock(*flat[i], machine, set,
+                slots[i] = captureSuperblock(*flat[i].sb, machine, set,
                                              opts);
                 if (progress)
                     progress->tick();
@@ -437,7 +301,7 @@ captureRun(const CaptureOptions &opts)
         std::string decisionLines;
         for (std::size_t i = 0; i < flat.size(); ++i) {
             const SbCapture &cap = slots[i];
-            rows += renderRow(*flatProgram[i], *flat[i],
+            rows += renderRow(flat[i].program->name, *flat[i].sb,
                               machine.name(), man.heuristics, cap);
             decisionLines += cap.decisionLines;
             foldRow(reg, cap);

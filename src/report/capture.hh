@@ -7,6 +7,9 @@
  * sums bit for bit (the report pipeline's end-to-end identity,
  * pinned by tests/report/report_pipeline_test).
  *
+ * Rows come from the same pipeline as evaluateSuperblock
+ * (eval/pipeline.hh), with every telemetry receiver attached.
+ *
  * Capture owns a *local* MetricRegistry: the identical integers that
  * go into each row are folded — serially, in suite order — into that
  * registry, so the snapshot is a pure function of the rows and never
@@ -41,10 +44,11 @@ struct CaptureOptions
     bool withBest = false;
     /**
      * Run the branch-and-bound certifier on each superblock up to
-     * bnbMaxOps ops and emit a "bnb" object per row (certified WCT,
-     * proven lower bound, search counters). Upgrades the rendered
-     * gap attribution from "vs. bound" to "vs. proven optimum (or
-     * certified gap)".
+     * bnbMaxOps ops, seeded with the Best envelope's winner (the best
+     * primary when withBest is off), and emit a "bnb" object per row
+     * (certified WCT, proven lower bound, search counters). Upgrades
+     * the rendered gap attribution from "vs. bound" to "vs. proven
+     * optimum (or certified gap)".
      */
     bool withBnb = false;
     /** Node budget per superblock for the certifier. */

@@ -158,39 +158,52 @@ BestScheduler::run(const GraphContext &ctx, const MachineModel &machine,
                    const ScheduleRequest &req) const
 {
     const Superblock &sb = ctx.sb();
-    SchedScratch &scr =
-        req.scratch ? *req.scratch : threadLocalSchedScratch();
     ScheduleRequest inner = req;
-    inner.scratch = &scr;
+    inner.scratch =
+        req.scratch ? req.scratch : &threadLocalSchedScratch();
 
-    bool haveBest = false;
-    Schedule best;
-    double bestWct = 0.0;
+    BestEnvelope envelope;
     for (const auto &sched : primaries) {
         Schedule s = sched->run(ctx, machine, inner);
-        double w = s.wct(sb);
-        if (!haveBest || w < bestWct) {
-            best = std::move(s);
-            bestWct = w;
-            haveBest = true;
-        }
+        envelope.offer(s, s.wct(sb));
     }
+    envelope.offerGrid(ctx, machine, inner, gridSteps);
+    return envelope.schedule();
+}
 
+void
+BestEnvelope::offer(const Schedule &s, double wct)
+{
+    if (!have || wct < bestWct) {
+        best = s;
+        bestWct = wct;
+        have = true;
+    }
+}
+
+bool
+BestEnvelope::offerGrid(const GraphContext &ctx,
+                        const MachineModel &machine,
+                        const ScheduleRequest &req, int gridSteps)
+{
     // The cross product: a*CP + b*SR + c*DHASY over an integer grid,
     // with the DHASY share absorbing whatever a and b leave (clamped
-    // at zero). Strict < throughout keeps the first minimum, so the
-    // primaries-then-grid order matches running all points in line.
-    std::vector<double> weights = steeringWeights(sb, inner);
+    // at zero).
+    const Superblock &sb = ctx.sb();
+    SchedScratch &scr =
+        req.scratch ? *req.scratch : threadLocalSchedScratch();
+    std::vector<double> weights = steeringWeights(sb, req);
     double gridWct = gridSweep(ctx, machine, weights, gridSteps,
                                req.stats, scr, true);
-    if (!haveBest || gridWct < bestWct) {
-        Schedule s(sb.numOps());
-        for (OpId id = 0; id < sb.numOps(); ++id)
-            s.setIssue(id, scr.bestIssueBuf[std::size_t(id)]);
-        best = std::move(s);
-        haveBest = true;
-    }
-    return best;
+    if (have && !(gridWct < bestWct))
+        return false;
+    Schedule s(sb.numOps());
+    for (OpId id = 0; id < sb.numOps(); ++id)
+        s.setIssue(id, scr.bestIssueBuf[std::size_t(id)]);
+    best = std::move(s);
+    bestWct = gridWct;
+    have = true;
+    return true;
 }
 
 double

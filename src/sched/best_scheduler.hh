@@ -52,6 +52,34 @@ class BestScheduler : public Scheduler
 };
 
 /**
+ * The Best envelope's running minimum. Offers win only when strictly
+ * better, so offering the primaries in order and then the grid keeps
+ * the first minimum, as running every point in line would.
+ */
+class BestEnvelope
+{
+  public:
+    /** Keep a copy of @p s when @p wct strictly beats the winner. */
+    void offer(const Schedule &s, double wct);
+
+    /**
+     * Offer the combo grid's first minimum (bestGridWct's sweep, with
+     * @p req's weights, scratch and stats); its schedule is built only
+     * when it wins. @return true when it won.
+     */
+    bool offerGrid(const GraphContext &ctx, const MachineModel &machine,
+                   const ScheduleRequest &req = {}, int gridSteps = 10);
+
+    double wct() const { return bestWct; }
+    const Schedule &schedule() const { return best; }
+
+  private:
+    Schedule best;
+    double bestWct = 0.0;
+    bool have = false;
+};
+
+/**
  * The combo grid alone: minimum weighted completion time over the
  * (gridSteps+1)^2 blends of the cached CP/SR/DHASY tables, with runs
  * whose blended rank permutation repeats an earlier point served from

@@ -1,18 +1,12 @@
 #include "service/engine.hh"
 
 #include <chrono>
+#include <limits>
 #include <map>
 
 #include "bounds/bound_scratch.hh"
-#include "bounds/branch_bounds.hh"
-#include "bounds/triplewise.hh"
-#include "core/balance_scheduler.hh"
 #include "eval/experiment.hh"
-#include "sched/best_scheduler.hh"
-#include "sched/bnb/bnb.hh"
-#include "sched/heuristics.hh"
-#include "sched/list_scheduler.hh"
-#include "sched/sched_scratch.hh"
+#include "support/diagnostics.hh"
 #include "support/metrics.hh"
 #include "support/parallel_for.hh"
 #include "support/trace.hh"
@@ -22,10 +16,10 @@ namespace balance
 
 /**
  * One request's private working set: scratch keyed per machine (the
- * six paper configs) plus long-lived scheduler instances. Checked
- * out of the engine's free-list for the duration of one request and
- * returned afterwards, so nothing here is ever shared between two
- * in-flight requests.
+ * six paper configs). Checked out of the engine's free-list for the
+ * duration of one request and returned afterwards, so nothing here is
+ * ever shared between two in-flight requests. The schedulers
+ * themselves are const and shared (schedulerTable()).
  */
 struct EngineWorkerState
 {
@@ -48,21 +42,6 @@ struct EngineWorkerState
 
     std::map<std::string, std::unique_ptr<MachineState>> machines;
     SchedScratch schedScratch;
-
-    BalanceScheduler balance;
-    CriticalPathScheduler cp;
-    SuccessiveRetirementScheduler sr;
-    GStarScheduler gstar;
-    DhasyScheduler dhasy;
-    HelpScheduler help;
-    std::unique_ptr<BestScheduler> best;
-
-    EngineWorkerState()
-    {
-        // Best = the paper lineup's envelope plus the combo grid.
-        best = std::make_unique<BestScheduler>(
-            HeuristicSet::paperSet(false).primaries);
-    }
 
     MachineState &
     machineFor(const std::string &machineName,
@@ -130,7 +109,6 @@ ScheduleEngine::runWith(EngineWorkerState &state,
     EngineWorkerState::MachineState &ms =
         state.machineFor(req.machine, parsed);
     const MachineModel &machine = ms.model;
-    BoundScratch &scratch = *ms.scratch;
 
     ServiceResult out;
     out.name = sb.name();
@@ -138,71 +116,43 @@ ScheduleEngine::runWith(EngineWorkerState &state,
     out.scheduler = req.scheduler;
     out.cacheHit = hit;
 
-    BoundConfig boundConfig;
-    BoundsToolkit toolkit(ctx, machine, boundConfig, nullptr,
-                          &scratch);
+    // "best" is the paper lineup's envelope; any other key is a
+    // lineup of one. A certify request also offers the combo grid to
+    // the envelope, so the search starts from the better of the
+    // schedule and the grid.
+    static const HeuristicSet paper = HeuristicSet::paperSet(false);
+    const SchedulerEntry *entry = schedulerByKey(req.scheduler);
+    bsAssert(entry, "unknown scheduler '", req.scheduler, "'");
+    const bool best = req.scheduler == "best";
+    EvalPlan plan;
+    plan.ladder = req.bounds;
+    plan.lineup = best ? std::span(paper.primaries)
+                       : std::span(&entry->scheduler, 1);
+    plan.withBest = best || req.certify;
+    plan.certify = req.certify;
+    plan.bnbMaxNodes = req.bnbMaxNodes;
+    plan.bnbMaxOps = std::numeric_limits<int>::max(); // wire-capped
+    plan.bnbThreads = 0;
+    plan.scratch = ms.scratch.get();
+    plan.schedScratch = &state.schedScratch;
+    EvalOutcome r = evaluate(ctx, machine, plan);
 
-    if (req.bounds) {
-        out.haveBounds = true;
-        out.bounds.cp = wctFromBranchEarly(sb, cpEarly(ctx));
-        out.bounds.hu = wctFromBranchEarly(sb, huEarly(ctx, machine));
-        out.bounds.rj = wctFromBranchEarly(sb, rjEarly(ctx, machine));
-        std::vector<int> lcBranches;
-        for (OpId b : sb.branches())
-            lcBranches.push_back(toolkit.earlyRC()[std::size_t(b)]);
-        out.bounds.lc = wctFromBranchEarly(sb, lcBranches);
-        out.bounds.pw = toolkit.pairwise()->superblockWct();
-        std::vector<std::vector<int>> lateRCs;
-        for (int bi = 0; bi < sb.numBranches(); ++bi)
-            lateRCs.push_back(toolkit.lateRC(bi));
-        out.bounds.tw =
-            computeTriplewise(ctx, machine, toolkit.earlyRC(), lateRCs,
-                              *toolkit.pairwise(),
-                              boundConfig.triplewise, nullptr,
-                              &scratch)
-                .wct;
-        out.tightest = out.bounds.tightest();
-    }
-
-    ScheduleRequest schedReq;
-    schedReq.scratch = &state.schedScratch;
-    Schedule schedule = [&] {
-        if (req.scheduler == "balance")
-            return state.balance.runWithToolkit(ctx, machine, toolkit,
-                                                schedReq);
-        if (req.scheduler == "cp")
-            return state.cp.run(ctx, machine, schedReq);
-        if (req.scheduler == "sr")
-            return state.sr.run(ctx, machine, schedReq);
-        if (req.scheduler == "gstar")
-            return state.gstar.run(ctx, machine, schedReq);
-        if (req.scheduler == "dhasy")
-            return state.dhasy.run(ctx, machine, schedReq);
-        if (req.scheduler == "help")
-            return state.help.run(ctx, machine, schedReq);
-        return state.best->run(ctx, machine, schedReq);
-    }();
-    schedule.validate(sb, machine);
+    out.haveBounds = req.bounds;
+    out.bounds = r.bounds;
+    out.tightest = r.tightest;
+    const Schedule &schedule = best ? r.best.schedule() : r.schedules[0];
     out.wct = schedule.wct(sb);
     out.makespan = schedule.makespan();
     out.issue.reserve(std::size_t(sb.numOps()));
     for (OpId op = 0; op < OpId(sb.numOps()); ++op)
         out.issue.push_back(schedule.issueOf(op));
-
-    if (req.certify) {
-        BnbOptions bnbOpts;
-        bnbOpts.maxNodes = req.bnbMaxNodes;
-        BnbRequest bnbReq;
-        bnbReq.toolkit = &toolkit;
-        bnbReq.seedSchedule = &schedule;
-        bnbReq.staticLowerBound = out.tightest;
-        BnbResult r = bnbSchedule(ctx, machine, bnbOpts, bnbReq);
+    if (const BnbEvalSummary *bnb = r.bnb.get()) {
         out.haveBnb = true;
-        out.bnbWct = r.wct;
-        out.bnbLowerBound = r.lowerBound;
-        out.bnbProven = r.proven;
-        out.bnbExhausted = r.exhausted;
-        out.bnbNodes = r.counters.nodesExpanded;
+        out.bnbWct = bnb->wct;
+        out.bnbLowerBound = bnb->lowerBound;
+        out.bnbProven = bnb->proven;
+        out.bnbExhausted = bnb->exhausted;
+        out.bnbNodes = bnb->counters.nodesExpanded;
     }
 
     auto us = std::chrono::duration_cast<std::chrono::microseconds>(

@@ -1,9 +1,11 @@
 /**
  * @file
- * The scheduling engine behind the service daemon: executes parsed
- * ServiceRequests against the existing eval stack (BoundsToolkit,
- * the heuristic lineup, the B&B certifier) with the steady-state
- * reuse the bound/scheduler layers were built for:
+ * The scheduling engine behind the service daemon: each parsed
+ * ServiceRequest becomes an EvalPlan for the one evaluation pipeline
+ * (eval/pipeline.hh) that the eval drivers and report capture use —
+ * the request picks the lineup, whether the bound ladder runs and
+ * whether to certify — with the steady-state reuse the bound and
+ * scheduler layers were built for:
  *
  *  - GraphContexts come from a shared content-hash LRU cache
  *    (service/graph_cache.hh), fully warmed so one entry serves any
@@ -36,7 +38,7 @@
 namespace balance
 {
 
-struct EngineWorkerState; // private: scratch + scheduler instances
+struct EngineWorkerState; // private: per-request scratch
 
 /** Engine configuration. */
 struct EngineOptions

@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "eval/experiment.hh"
 #include "workload/sb_io.hh"
 
 namespace balance
@@ -100,9 +101,7 @@ machineByNameChecked(const std::string &name, MachineModel *out)
 bool
 schedulerKeyValid(const std::string &key)
 {
-    return key == "balance" || key == "cp" || key == "sr" ||
-           key == "gstar" || key == "dhasy" || key == "help" ||
-           key == "best";
+    return schedulerByKey(key) != nullptr;
 }
 
 bool

@@ -130,4 +130,14 @@ suiteSize(const std::vector<BenchmarkProgram> &suite)
     return total;
 }
 
+std::vector<SuiteSlot>
+flattenSuite(const std::vector<BenchmarkProgram> &suite)
+{
+    std::vector<SuiteSlot> flat;
+    for (const BenchmarkProgram &prog : suite)
+        for (const Superblock &sb : prog.superblocks)
+            flat.push_back({&prog, &sb});
+    return flat;
+}
+
 } // namespace balance

@@ -58,6 +58,17 @@ std::vector<BenchmarkProgram> buildSuite(const SuiteOptions &opts = {});
 /** @return the total superblock count of a suite. */
 int suiteSize(const std::vector<BenchmarkProgram> &suite);
 
+/** One superblock of a suite and the program it belongs to. */
+struct SuiteSlot
+{
+    const BenchmarkProgram *program;
+    const Superblock *sb;
+};
+
+/** @return every superblock in suite order (the drivers' slot order). */
+std::vector<SuiteSlot> flattenSuite(
+    const std::vector<BenchmarkProgram> &suite);
+
 } // namespace balance
 
 #endif // BALANCE_WORKLOAD_SUITE_HH

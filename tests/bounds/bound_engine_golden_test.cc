@@ -16,6 +16,7 @@
 #include "bounds/reference.hh"
 #include "bounds/relaxation.hh"
 #include "bounds/superblock_bounds.hh"
+#include "eval/pipeline.hh"
 #include "graph/builder.hh"
 #include "workload/suite.hh"
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/pipeline.hh"
 #include "workload/generator.hh"
 #include "workload/paper_figures.hh"
 

@@ -5,6 +5,7 @@
 #include "bounds/superblock_bounds.hh"
 #include "cfg/cfg_gen.hh"
 #include "core/balance_scheduler.hh"
+#include "eval/pipeline.hh"
 #include "graph/analysis.hh"
 
 namespace balance

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "bounds/superblock_bounds.hh"
+#include "eval/pipeline.hh"
 #include "sched/bnb/bnb.hh"
 #include "support/rng.hh"
 #include "workload/generator.hh"

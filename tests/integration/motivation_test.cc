@@ -8,6 +8,7 @@
 
 #include "bounds/superblock_bounds.hh"
 #include "core/balance_scheduler.hh"
+#include "eval/pipeline.hh"
 #include "sched/heuristics.hh"
 #include "sched/optimal.hh"
 #include "workload/paper_figures.hh"

@@ -23,6 +23,17 @@ struct SweepConfig
     double opsMu;
 };
 
+// gtest's default printer dumps the struct's raw bytes, `machine`
+// pointer included, and gtest_discover_tests copies that text into
+// the ctest name; the pointer moves with ASLR, so every build would
+// name these tests differently. Print the values instead.
+void
+PrintTo(const SweepConfig &cfg, std::ostream *os)
+{
+    *os << '{' << cfg.machine << ',' << cfg.seed << ',' << cfg.blockGeoP
+        << ',' << cfg.opsMu << '}';
+}
+
 class PropertySweep : public ::testing::TestWithParam<SweepConfig>
 {
   protected:

@@ -14,9 +14,8 @@
 #include <cstdio>
 #include <string>
 
-#include <sys/stat.h>
-
 #include "support/json.hh"
+#include "temp_dir.hh"
 
 namespace balance
 {
@@ -125,7 +124,8 @@ TEST(ArtifactPaths, ResolveAgainstTheManifestDirectory)
 
 TEST(ArtifactPaths, ReadWriteTextFileRoundTrip)
 {
-    std::string path = "/tmp/balance_manifest_test_rw.txt";
+    std::string dir = makeTempDir("balance_manifest_test_rw");
+    std::string path = dir + "/rw.txt";
     std::string error;
     ASSERT_TRUE(writeTextFile(path, "line1\nline2\n", &error)) << error;
     std::string back;
@@ -133,8 +133,7 @@ TEST(ArtifactPaths, ReadWriteTextFileRoundTrip)
     EXPECT_EQ(back, "line1\nline2\n");
     std::remove(path.c_str());
 
-    EXPECT_FALSE(readTextFile("/tmp/balance_manifest_test_missing_xyz",
-                              &back, &error));
+    EXPECT_FALSE(readTextFile(dir + "/missing_xyz", &back, &error));
     EXPECT_FALSE(error.empty());
 }
 
@@ -145,12 +144,7 @@ class LoadArtifactsTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir = "/tmp/balance_manifest_test_dir";
-        ::mkdir(dir.c_str(), 0755);
-        std::remove((dir + "/manifest.json").c_str());
-        std::remove((dir + "/metrics.json").c_str());
-        std::remove((dir + "/superblocks.jsonl").c_str());
-        std::remove((dir + "/decisions.GP4.jsonl").c_str());
+        dir = makeTempDir("balance_manifest_test_dir");
     }
 
     void

@@ -20,15 +20,13 @@
 #include <string>
 #include <vector>
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include "report/attribution.hh"
 #include "report/capture.hh"
 #include "report/compare.hh"
 #include "report/manifest.hh"
 #include "report/render.hh"
 #include "support/json.hh"
+#include "temp_dir.hh"
 
 namespace balance
 {
@@ -56,7 +54,6 @@ std::string
 captureInto(const std::string &dir, double scale, int threads,
             bool hwCounters = false)
 {
-    ::mkdir(dir.c_str(), 0755);
     CaptureOptions opts;
     opts.suite.scale = scale;
     opts.threads = threads;
@@ -74,12 +71,11 @@ class ReportPipelineTest : public ::testing::Test
     {
         run = new RunArtifacts();
         // ctest runs each discovered case as its own process, and
-        // each process re-runs this suite setup — key the directory
-        // on the pid so parallel ctest jobs never write into each
+        // each process re-runs this suite setup into its own
+        // directory, so parallel ctest jobs never write into each
         // other's capture.
         std::string manifestPath = captureInto(
-            "/tmp/balance_report_pipeline." + std::to_string(getpid()),
-            0.05, 0);
+            makeTempDir("balance_report_pipeline"), 0.05, 0);
         std::string error;
         ASSERT_TRUE(loadRunArtifacts(manifestPath, run, &error))
             << error;
@@ -209,9 +205,8 @@ TEST_F(ReportPipelineTest, CompareFlagsInflatedLoopTrips)
 
 TEST(ReportHwCounters, CaptureBindsArtifactWithoutPerturbingRows)
 {
-    std::string pid = std::to_string(getpid());
-    std::string plainDir = "/tmp/balance_report_hw_off." + pid;
-    std::string hwDir = "/tmp/balance_report_hw_on." + pid;
+    std::string plainDir = makeTempDir("balance_report_hw_off");
+    std::string hwDir = makeTempDir("balance_report_hw_on");
     std::string plainManifest = captureInto(plainDir, 0.02, 2);
     std::string hwManifest =
         captureInto(hwDir, 0.02, 2, /*hwCounters=*/true);
@@ -256,8 +251,8 @@ TEST(ReportHwCounters, CaptureBindsArtifactWithoutPerturbingRows)
 
 TEST(ReportDeterminism, ArtifactsAreByteIdenticalAcrossThreadCounts)
 {
-    std::string serialDir = "/tmp/balance_report_serial";
-    std::string threadedDir = "/tmp/balance_report_threaded";
+    std::string serialDir = makeTempDir("balance_report_serial");
+    std::string threadedDir = makeTempDir("balance_report_threaded");
     captureInto(serialDir, 0.02, 1);
     captureInto(threadedDir, 0.02, 4);
 

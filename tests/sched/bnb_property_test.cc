@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "bounds/superblock_bounds.hh"
+#include "eval/pipeline.hh"
 #include "sched/bnb/bnb.hh"
 #include "support/json.hh"
 #include "support/parallel_for.hh"

@@ -9,6 +9,7 @@
 
 #include "bounds/superblock_bounds.hh"
 #include "core/balance_scheduler.hh"
+#include "eval/pipeline.hh"
 #include "graph/builder.hh"
 #include "sched/optimal.hh"
 

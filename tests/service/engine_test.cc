@@ -95,8 +95,9 @@ TEST(ScheduleEngine, CertifyRunsBnbAndBoundsTheSchedule)
     EXPECT_GE(r.bnbNodes, 0); // 0 when the seed is proven outright
     EXPECT_LE(r.bnbLowerBound, r.bnbWct + 1e-9);
     EXPECT_LE(r.bnbWct, r.wct + 1e-9); // certifier can only improve
-    if (r.bnbProven)
+    if (r.bnbProven) {
         EXPECT_NEAR(r.bnbWct, r.bnbLowerBound, 1e-9);
+    }
 }
 
 TEST(ScheduleEngine, BatchMatchesSingleRunsBitwise)

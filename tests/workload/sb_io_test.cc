@@ -6,6 +6,8 @@
 #include <sstream>
 
 #include "bounds/superblock_bounds.hh"
+#include "eval/pipeline.hh"
+#include "temp_dir.hh"
 #include "workload/generator.hh"
 #include "workload/paper_figures.hh"
 
@@ -112,7 +114,7 @@ end
 
 TEST(SbIo, FileRoundTrip)
 {
-    std::string path = "/tmp/balance_sb_io_test.sb";
+    std::string path = makeTempDir("balance_sb_io_test") + "/file.sb";
     std::vector<Superblock> sbs;
     sbs.push_back(paperFigure1(0.25));
     sbs.push_back(paperFigure6());
