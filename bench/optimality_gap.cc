@@ -15,6 +15,7 @@
 #include "eval/bench_options.hh"
 #include "eval/pipeline.hh"
 #include "sched/optimal.hh"
+#include "support/diagnostics.hh"
 #include "support/parallel_for.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
@@ -67,6 +68,12 @@ main(int argc, char **argv)
                 OptimalResult opt = optimalSchedule(ctx, machine, oo);
                 if (!opt.proven)
                     return;
+                // A bound above the proven optimum is unsound; it must
+                // not read as an exact one.
+                bsAssert(bounds.tightest() <= opt.wct + 1e-6,
+                         "optimality_gap: bound ", bounds.tightest(),
+                         " above the optimum ", opt.wct, " on '",
+                         sbs[i].name(), "' (", machine.name(), ")");
                 slots[i].proven = true;
                 slots[i].gapPercent =
                     (opt.wct - bounds.tightest()) /
@@ -81,7 +88,7 @@ main(int argc, char **argv)
             if (!slot.proven)
                 continue;
             ++proven;
-            gap.add(std::max(0.0, slot.gapPercent));
+            gap.add(slot.gapPercent);
             if (slot.gapPercent <= 1e-9)
                 ++exact;
         }

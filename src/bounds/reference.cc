@@ -596,6 +596,7 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
 
                 TriplePoint best;
                 bool haveBest = false;
+                bool cut = false;
                 auto record = [&](TriplePoint pt) {
                     double cost = wi * pt.x + wj * pt.y + wk * pt.z;
                     if (!haveBest ||
@@ -627,9 +628,13 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
                             innerBroke = true;
                             break;
                         }
-                        if (evals >= opts.maxEvals)
+                        if (evals >= opts.maxEvals && b < bCap) {
+                            cut = true;
                             break;
+                        }
                     }
+                    if (cut)
+                        break;
                     if (!innerBroke) {
                         TriplePoint capped{ei, yFloor, last.z};
                         if (a == aCap)
@@ -638,11 +643,13 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
                     }
                     if (columnAllXAtFloor)
                         break;
-                    if (evals >= opts.maxEvals)
+                    if (evals >= opts.maxEvals && a < aCap) {
+                        cut = true;
                         break;
+                    }
                 }
 
-                if (haveBest) {
+                if (haveBest && !cut) {
                     sums[std::size_t(bi)] += best.x;
                     sums[std::size_t(bj)] += best.y;
                     sums[std::size_t(bk)] += best.z;

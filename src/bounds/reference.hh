@@ -9,8 +9,7 @@
  * The optimized engine in relaxation/pairwise/triplewise must stay
  * *bitwise identical* to this code: the golden-equivalence test
  * (tests/bounds/bound_engine_golden_test.cc) compares the two across
- * a seeded workload population, and bench/bounds_perf.cc uses this
- * path as the wall-clock baseline. Keep this file dumb and frozen —
+ * a seeded workload population. Keep this file dumb and frozen —
  * performance work belongs in the main path only.
  */
 

@@ -45,7 +45,9 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
 
     // The enumeration order is load-bearing: maxEvals may truncate
     // it, so visiting triples in any other order would change which
-    // ones contribute to the partial aggregate.
+    // ones contribute to the partial aggregate. A triple the budget
+    // cuts mid-sweep is dropped: its minimum over part of the (a, b)
+    // grid is not a lower bound.
     for (int bi = 0; bi < numBr && evals < opts.maxEvals; ++bi) {
         for (int bj = bi + 1; bj < numBr && evals < opts.maxEvals; ++bj) {
             for (int bk = bj + 1; bk < numBr && evals < opts.maxEvals;
@@ -75,6 +77,7 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
 
                 TriplePoint best;
                 bool haveBest = false;
+                bool cut = false;
                 auto record = [&](TriplePoint pt) {
                     double cost = wi * pt.x + wj * pt.y + wk * pt.z;
                     if (!haveBest ||
@@ -111,9 +114,13 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
                             innerBroke = true;
                             break;
                         }
-                        if (evals >= opts.maxEvals)
+                        if (evals >= opts.maxEvals && b < bCap) {
+                            cut = true;
                             break;
+                        }
                     }
+                    if (cut)
+                        break;
                     if (!innerBroke) {
                         // Capped fallback covering separations past
                         // bCap at this exact a.
@@ -124,11 +131,13 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
                     }
                     if (columnAllXAtFloor)
                         break;
-                    if (evals >= opts.maxEvals)
+                    if (evals >= opts.maxEvals && a < aCap) {
+                        cut = true;
                         break;
+                    }
                 }
 
-                if (haveBest) {
+                if (haveBest && !cut) {
                     sums[std::size_t(bi)] += best.x;
                     sums[std::size_t(bj)] += best.y;
                     sums[std::size_t(bk)] += best.z;

@@ -50,8 +50,9 @@ struct TriplewiseOptions
 
     /**
      * Total relaxation evaluations allowed per superblock; once
-     * exhausted, remaining triples are skipped (the partial
-     * aggregation stays valid).
+     * exhausted, the triple it cut mid-sweep and all later ones are
+     * skipped (the partial aggregation over fully swept triples stays
+     * valid).
      */
     long long maxEvals = 200000;
 };

@@ -72,7 +72,6 @@ RunManifest::toJson() const
     w.key("artifacts").beginObject();
     w.key("metrics").value(metricsPath);
     w.key("superblocks").value(superblocksPath);
-    w.key("bench_json").value(benchJsonPath);
     w.key("trace").value(tracePath);
     // Written by --hw-counters runs only; readers treat an absent key
     // as "no counters captured", so old manifests stay loadable and
@@ -175,7 +174,6 @@ RunManifest::fromJson(const JsonValue &doc, RunManifest *out,
         return false;
     m.metricsPath = optionalString(*art, "metrics");
     m.superblocksPath = optionalString(*art, "superblocks");
-    m.benchJsonPath = optionalString(*art, "bench_json");
     m.tracePath = optionalString(*art, "trace");
     m.hwCountersPath = optionalString(*art, "hw_counters");
     m.metricsTimelinePath = optionalString(*art, "metrics_timeline");
@@ -310,10 +308,6 @@ loadRunArtifacts(const std::string &manifestPath, RunArtifacts *out,
         !loadJsonLinesArtifact(
             resolveArtifactPath(art.dir, m.superblocksPath),
             &art.superblocks, error))
-        return false;
-    if (!m.benchJsonPath.empty() &&
-        !loadJsonArtifact(resolveArtifactPath(art.dir, m.benchJsonPath),
-                          &art.benchJson, error))
         return false;
     if (!m.hwCountersPath.empty() &&
         !loadJsonArtifact(

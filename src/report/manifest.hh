@@ -58,7 +58,6 @@ struct RunManifest
     /** Artifact paths, relative to the manifest directory ("" = absent). */
     std::string metricsPath;     //!< metric-registry snapshot JSON
     std::string superblocksPath; //!< per-superblock rows, JSON lines
-    std::string benchJsonPath;   //!< optional bench JSON (BENCH_*.json)
     std::string tracePath;       //!< optional Chrome trace
     std::string hwCountersPath;  //!< optional per-phase hw counters
     /** Optional --metrics-interval JSONL time-series. */
@@ -102,7 +101,6 @@ struct RunArtifacts
     std::vector<JsonValue> superblocks; //!< parsed rows (suite order)
     /** Parsed decision records, parallel to manifest.decisionLogs. */
     std::vector<std::vector<JsonValue>> decisions;
-    JsonValue benchJson;   //!< parsed bench JSON (Null if absent)
     JsonValue hwCounters;  //!< parsed hwcounters.json (Null if absent)
 };
 

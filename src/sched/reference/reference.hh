@@ -11,10 +11,9 @@
  * The optimized engine in sched/list_scheduler, sched/priorities, and
  * sched/best_scheduler must stay *bitwise identical* to this code:
  * the golden-equivalence test (tests/sched/sched_engine_golden_test)
- * compares the two across a seeded workload population, and
- * bench/sched_perf.cc uses this path as the wall-clock baseline.
- * Keep this file dumb and frozen — performance work belongs in the
- * main path only.
+ * compares the two across a seeded workload population. Keep this
+ * file dumb and frozen — performance work belongs in the main path
+ * only.
  */
 
 #ifndef BALANCE_SCHED_REFERENCE_REFERENCE_HH

@@ -1,8 +1,8 @@
 /**
  * @file
  * JSON emission, validation, and parsing for machine-readable bench
- * and tool output (metrics snapshots, BENCH_bounds.json, decision
- * logs, trace files, run manifests). Three pieces:
+ * and tool output (metrics snapshots, decision logs, trace files,
+ * run manifests, service responses). Three pieces:
  *
  *  - JsonWriter: a streaming writer that tracks nesting and commas;
  *  - jsonLooksValid: structural validation without building a tree;

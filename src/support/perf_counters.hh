@@ -116,9 +116,9 @@ struct PerfCounterValues
 };
 
 /**
- * A standalone per-thread counter sampler for bench harnesses
- * (bench/micro_kernels) that measure explicit intervals instead of
- * attributing phases. Opens its own counter group on construction,
+ * A per-thread counter sampler that measures explicit intervals;
+ * PerfProfiler keeps one per thread and attributes its deltas to
+ * phases. Opens its own counter group on construction,
  * honoring the BALANCE_PERF override; now() reads the monotonic
  * totals. Not thread-safe: use from the constructing thread only.
  */

@@ -36,11 +36,10 @@
 namespace balance::simd
 {
 
-inline constexpr int i32Lanes = 8; //!< lanes per I32x8 / U32x8
+inline constexpr int i32Lanes = 8; //!< lanes per I32x8
 inline constexpr int f64Lanes = 4; //!< lanes per F64x4 / U64x4
 
 typedef std::int32_t I32x8 __attribute__((vector_size(32)));
-typedef std::uint32_t U32x8 __attribute__((vector_size(32)));
 typedef double F64x4 __attribute__((vector_size(32)));
 typedef std::int64_t I64x4 __attribute__((vector_size(32)));
 typedef std::uint64_t U64x4 __attribute__((vector_size(32)));
@@ -49,12 +48,6 @@ inline I32x8
 splatI32(std::int32_t x)
 {
     return I32x8{x, x, x, x, x, x, x, x};
-}
-
-inline U32x8
-splatU32(std::uint32_t x)
-{
-    return U32x8{x, x, x, x, x, x, x, x};
 }
 
 inline F64x4

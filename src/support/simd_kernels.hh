@@ -4,9 +4,9 @@
  *
  * Every SIMD-accelerated inner loop in the bound and scheduler
  * engines goes through a SimdKernels function pointer: the pair and
- * triple sweep compositions, the relaxation table's epoch window
- * scan, the priority-key mapping and blending of the Best combo
- * grid, and the pending-promotion compare of the greedy core. The
+ * triple sweep compositions, the priority-key mapping and blending
+ * of the Best combo grid, and the pending-promotion compare of the
+ * greedy core. The
  * scalar table below is the reference semantics — plain loops,
  * always compiled — and the AVX2/NEON tables (built per
  * cmake/enable_intrinsics.cmake) must match it bit for bit on every
@@ -88,18 +88,6 @@ struct SimdKernels
                                    const int *hj, const int *early,
                                    const int *relLate, int *keys, int n,
                                    int a, int jToK, int cp0);
-
-    /**
-     * Relaxation epoch scan (RelaxTable::place): index of the first
-     * cycle in [0, count) that is NOT full — stamp[i] != epoch or
-     * fill[i] < width — or -1 when all are full. The index equals the
-     * popcount of the full-mask bits below it, which is exactly the
-     * probe-loop trip count the naive greedy would have burned before
-     * landing (Table 2 reconstruction).
-     */
-    int (*epochScanFirstFree)(const std::uint32_t *stamp,
-                              const int *fill, std::uint32_t epoch,
-                              int width, int count);
 
     /** Blend the grid keys: out[i] = (a*cp[i] + b*sr[i]) + c*dh[i]. */
     void (*blendKeys)(double a, const double *cp, double b,

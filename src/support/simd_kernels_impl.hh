@@ -12,10 +12,6 @@
  *    cp/min/max accumulate per lane and reduce horizontally at the
  *    end, which is safe because integer min/max are associative and
  *    commutative. The tail reuses the scalar per-member helpers.
- *  - epochScanFirstFree: "full" lanes (stamp == epoch && fill >=
- *    width) become a movemask; the first zero bit is the answer, and
- *    its index equals the popcount of the full bits below it — the
- *    probe trips the naive loop would have counted.
  *  - blend/map: purely elementwise; the blend keeps the scalar's
  *    (a*cp + b*sr) + c*dh association and the build compiles every
  *    path with -ffp-contract=off, so no FMA fusion can diverge.
@@ -40,7 +36,6 @@ namespace
 using simd::F64x4;
 using simd::I32x8;
 using simd::I64x4;
-using simd::U32x8;
 using simd::U64x4;
 
 ComposeResult
@@ -128,34 +123,6 @@ tripleComposeVec(const int *hSink, const int *hi, const int *hj,
     r.minKey = std::min(r.minKey, simd::hmin(vMin));
     r.maxKey = std::max(r.maxKey, simd::hmax(vMax));
     return r;
-}
-
-int
-epochScanFirstFreeVec(const std::uint32_t *stamp, const int *fill,
-                      std::uint32_t epoch, int width, int count)
-{
-    const U32x8 vEpoch = simd::splatU32(epoch);
-    const I32x8 vWidth = simd::splatI32(width);
-
-    int i = 0;
-    for (; i + simd::i32Lanes <= count; i += simd::i32Lanes) {
-        U32x8 vStamp = simd::load<U32x8>(stamp + i);
-        I32x8 vFill = simd::load<I32x8>(fill + i);
-        // Full lanes: stamped this epoch AND at width. The compare
-        // masks are -1/0 per lane; AND them and movemask.
-        I32x8 full = I32x8(vStamp == vEpoch) & (vFill >= vWidth);
-        unsigned bits = simd::mask8(full);
-        if (bits != 0xffu) {
-            // First free lane; its index is also the popcount of the
-            // full bits below it — the naive probe trips.
-            return i + std::countr_one(bits);
-        }
-    }
-    for (; i < count; ++i) {
-        if (stamp[i] != epoch || fill[i] < width)
-            return i;
-    }
-    return -1;
 }
 
 void
@@ -250,7 +217,6 @@ BALANCE_SIMD_TABLE_FUNC()
         BALANCE_SIMD_TABLE_NAME,
         &pairComposeVec,
         &tripleComposeVec,
-        &epochScanFirstFreeVec,
         &blendKeysVec,
         &mapKeysDescVec,
         &blendMapKeysDescVec,

@@ -54,17 +54,6 @@ tripleComposeScalar(const int *hSink, const int *hi, const int *hj,
     return r;
 }
 
-int
-epochScanFirstFreeScalar(const std::uint32_t *stamp, const int *fill,
-                         std::uint32_t epoch, int width, int count)
-{
-    for (int i = 0; i < count; ++i) {
-        if (stamp[i] != epoch || fill[i] < width)
-            return i;
-    }
-    return -1;
-}
-
 void
 blendKeysScalar(double a, const double *cp, double b, const double *sr,
                 double c, const double *dh, double *out, int n)
@@ -113,7 +102,6 @@ scalarSimdKernels()
         "scalar",
         &pairComposeScalar,
         &tripleComposeScalar,
-        &epochScanFirstFreeScalar,
         &blendKeysScalar,
         &mapKeysDescScalar,
         &blendMapKeysDescScalar,

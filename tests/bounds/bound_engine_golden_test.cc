@@ -66,6 +66,11 @@ TEST(BoundEngineGolden, SuiteBitwiseIdenticalAcrossMachines)
     std::vector<MachineModel> machines = MachineModel::paperConfigs();
     ASSERT_EQ(machines.size(), 6u);
 
+    // The default budget, and one that cuts Triplewise mid-sweep.
+    BoundConfig cut;
+    cut.triplewise.maxEvals = 5;
+    const BoundConfig configs[] = {BoundConfig{}, cut};
+
     for (const MachineModel &m : machines) {
         BoundScratch scratch(m);
         for (const BenchmarkProgram &prog : suite) {
@@ -75,15 +80,17 @@ TEST(BoundEngineGolden, SuiteBitwiseIdenticalAcrossMachines)
                 std::string where =
                     prog.name + "/" + sb.name() + "/" + m.name();
 
-                BoundCounterSet engineCounters, refCounters;
-                WctBounds engine = computeWctBounds(
-                    ctx, m, {}, &engineCounters, &scratch);
-                WctBounds ref = reference::computeWctBounds(
-                    ctx, m, {}, &refCounters);
+                for (const BoundConfig &config : configs) {
+                    BoundCounterSet engineCounters, refCounters;
+                    WctBounds engine = computeWctBounds(
+                        ctx, m, config, &engineCounters, &scratch);
+                    WctBounds ref = reference::computeWctBounds(
+                        ctx, m, config, &refCounters);
 
-                expectBoundsIdentical(engine, ref, where);
-                expectCountersIdentical(engineCounters, refCounters,
-                                        where);
+                    expectBoundsIdentical(engine, ref, where);
+                    expectCountersIdentical(engineCounters,
+                                            refCounters, where);
+                }
             }
         }
     }

@@ -28,6 +28,14 @@ struct Config
     const char *machine;
 };
 
+// gtest's default printer dumps the raw bytes, the ASLR-dependent
+// `machine` pointer included, into the ctest name; print the values.
+void
+PrintTo(const Config &cfg, std::ostream *os)
+{
+    *os << '{' << cfg.machine << ',' << cfg.seed << '}';
+}
+
 class BoundsVsOptimal : public ::testing::TestWithParam<Config>
 {
 };

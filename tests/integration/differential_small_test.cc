@@ -6,12 +6,14 @@
  *   LB(RJ) <= LB(Pairwise) <= LB(Triplewise)
  *          <= optimal WCT  <= every heuristic WCT
  *
- * (Balance in particular), with Schedule::validate() run on every
- * heuristic schedule so a structurally illegal schedule can never
- * report a good WCT. Each instance draws its RNG stream from
- * Rng::stream(seed, instance) — the same per-instance derivation the
- * parallel experiment runner uses — so the population is identical
- * no matter how many workers evaluate it or in which order.
+ * (Balance in particular), with Triplewise also checked under
+ * evaluation budgets small enough to cut its sweep short, and with
+ * Schedule::validate() run on every heuristic schedule so a
+ * structurally illegal schedule can never report a good WCT. Each
+ * instance draws its RNG stream from Rng::stream(seed, instance) —
+ * the same per-instance derivation the parallel experiment runner
+ * uses — so the population is identical no matter how many workers
+ * evaluate it or in which order.
  */
 
 #include <gtest/gtest.h>
@@ -68,6 +70,7 @@ TEST_P(DifferentialSmall, BoundChainOracleAndHeuristicsAgree)
         int numOps = 0;
         bool proven = false;
         double rj = 0.0, pw = 0.0, tw = 0.0;
+        std::vector<double> cutTw; //!< TW at tiny maxEvals budgets
         double optimal = 0.0;
         double balance = 0.0;
         std::vector<double> heuristicWct;
@@ -91,6 +94,11 @@ TEST_P(DifferentialSmall, BoundChainOracleAndHeuristicsAgree)
         out.rj = bounds.rj;
         out.pw = bounds.pw;
         out.tw = bounds.tw;
+        for (long long maxEvals : {2LL, 5LL}) {
+            BoundConfig cut;
+            cut.triplewise.maxEvals = maxEvals;
+            out.cutTw.push_back(computeWctBounds(ctx, machine, cut).tw);
+        }
 
         OptimalOptions oo;
         oo.maxNodes = 500000;
@@ -143,6 +151,9 @@ TEST_P(DifferentialSmall, BoundChainOracleAndHeuristicsAgree)
         ++proven;
         // Every bound stays below the true optimum...
         EXPECT_LE(out.tw, out.optimal + 1e-9) << "instance " << i;
+        for (double tw : out.cutTw)
+            EXPECT_LE(tw, out.optimal + 1e-9)
+                << "instance " << i << " (TW under a cut budget)";
         // ...and no heuristic (Balance included) beats it.
         EXPECT_GE(out.balance, out.optimal - 1e-9) << "instance " << i;
         for (std::size_t h = 0; h < out.heuristicWct.size(); ++h)

@@ -1,7 +1,8 @@
 /**
  * The one evaluation pipeline (eval/pipeline.hh): the certifier is
- * seeded with the Best envelope's winner, the plan runs the toolkit
- * only when something needs it, and the adapters agree with a direct
+ * seeded with the Best envelope's winner, its certificate ladder
+ * holds at the paper's target sizes, the plan runs the toolkit only
+ * when something needs it, and the adapters agree with a direct
  * evaluate() call.
  */
 
@@ -19,8 +20,9 @@ namespace
 {
 
 /**
- * bnb_perf's population (bench/bnb_perf.cc): 50-100-op superblocks
- * drawn from per-stream generators, kept in draw order.
+ * The certifier's target-size population, the one perfbench's certify
+ * workload draws (perfbench/inputs.cc): 50-100-op superblocks drawn
+ * from per-stream generators, kept in draw order.
  */
 std::vector<Superblock>
 bnbPerfPopulation(int count)
@@ -74,6 +76,33 @@ TEST(Pipeline, CertifierSeededWithGridWinner)
     EXPECT_LE(eval.bnb->lowerBound, eval.bnb->wct + 1e-9);
     EXPECT_LE(eval.bnb->wct, best + 1e-9);
     EXPECT_LE(eval.bnb->counters.nodesExpanded, opts.bnbMaxNodes);
+}
+
+TEST(Pipeline, CertificateLadderAtTargetSizes)
+{
+    // The unseeded search at the paper's target sizes, on every paper
+    // machine: its incumbent is a legal schedule, and its certificate
+    // satisfies tightest <= lowerBound <= wct.
+    std::vector<Superblock> pop = bnbPerfPopulation(6);
+    for (const MachineModel &machine : MachineModel::paperConfigs()) {
+        for (const Superblock &sb : pop) {
+            GraphContext ctx(sb);
+            BoundsToolkit toolkit(ctx, machine);
+            const double tightest =
+                computeWctBounds(ctx, machine).tightest();
+            BnbOptions bo;
+            bo.maxNodes = 20000;
+            BnbRequest req;
+            req.toolkit = &toolkit;
+            req.staticLowerBound = tightest;
+            BnbResult r = bnbSchedule(ctx, machine, bo, req);
+            r.schedule.validate(sb, machine);
+            EXPECT_GE(r.lowerBound, tightest - 1e-9)
+                << sb.name() << " on " << machine.name();
+            EXPECT_LE(r.lowerBound, r.wct + 1e-9)
+                << sb.name() << " on " << machine.name();
+        }
+    }
 }
 
 TEST(Pipeline, LadderOffLeavesSchedulesAlone)

@@ -35,7 +35,6 @@ filledManifest()
     man.heuristics = {"Balance", "CP", "SH"};
     man.metricsPath = "metrics.json";
     man.superblocksPath = "superblocks.jsonl";
-    man.benchJsonPath = "BENCH_bounds.json";
     man.tracePath = "trace.json";
     man.decisionLogs = {{"GP4", "decisions.GP4.jsonl"},
                         {"PlayDoh", "decisions.PlayDoh.jsonl"}};
@@ -63,7 +62,6 @@ TEST(RunManifest, JsonRoundTripIsIdentity)
     EXPECT_EQ(back.heuristics, man.heuristics);
     EXPECT_EQ(back.metricsPath, man.metricsPath);
     EXPECT_EQ(back.superblocksPath, man.superblocksPath);
-    EXPECT_EQ(back.benchJsonPath, man.benchJsonPath);
     EXPECT_EQ(back.tracePath, man.tracePath);
     ASSERT_EQ(back.decisionLogs.size(), 2u);
     EXPECT_EQ(back.decisionLogs[1].machine, "PlayDoh");
@@ -187,16 +185,19 @@ TEST_F(LoadArtifactsTest, LoadsEveryReferencedArtifact)
     ASSERT_EQ(run.decisions.size(), 1u);
     ASSERT_EQ(run.decisions[0].size(), 1u);
     EXPECT_EQ(run.decisions[0][0].get("cycle").asInt(), 0);
-    EXPECT_TRUE(run.benchJson.isNull()) << "absent path, empty slot";
 }
 
 TEST_F(LoadArtifactsTest, MetricsOnlyBaselineLoads)
 {
     // The committed CI baseline carries only manifest + metrics
     // (docs/REPORTING.md): everything else must stay empty, not fail.
+    // It predates the retired "bench_json" slot, which the reader
+    // ignores like any unknown key.
     RunManifest man;
     man.metricsPath = "metrics.json";
-    write("manifest.json", man.toJson());
+    std::string json = man.toJson();
+    json.insert(json.find("\"trace\""), "\"bench_json\":\"gone.json\",");
+    write("manifest.json", json);
     write("metrics.json", "{\"counters\":{}}");
 
     RunArtifacts run;

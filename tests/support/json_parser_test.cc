@@ -202,11 +202,11 @@ TEST(JsonParser, MetricsSnapshotRoundTripsByteExact)
 
 TEST(JsonParser, BenchStyleDocumentIsDumpStable)
 {
-    // The shape bounds_perf emits (doubles included): one parse ->
-    // dump -> parse cycle must be a fixed point of the DOM (the
-    // writer's %.12g is re-parse idempotent).
+    // Per-phase timings next to trip counts (doubles included): one
+    // parse -> dump -> parse cycle must be a fixed point of the DOM
+    // (the writer's %.12g is re-parse idempotent).
     JsonWriter w;
-    w.beginObject().key("bench").value("bounds_perf");
+    w.beginObject().key("bench").value("table2_bound_complexity");
     w.key("runs").beginArray();
     w.beginObject().key("name").value("pw").key("ms").value(1.25)
         .key("trips").value(150031).endObject();

@@ -3,8 +3,7 @@
  * The SIMD shim and kernel tables: lane ops behave as specified,
  * every compiled table matches the scalar reference bit for bit on
  * adversarial lengths (0, 1, width-1, width, width+1, and longer),
- * masked tails never write or read past n, and the epoch scan's
- * index doubles as the movemask-popcount probe-trip reconstruction.
+ * and masked tails never write or read past n.
  */
 
 #include <algorithm>
@@ -146,62 +145,6 @@ TEST(SimdKernelsParity, TripleCompose)
         EXPECT_EQ(keysV, keysS) << "n=" << n;
         EXPECT_EQ(keysV[std::size_t(n)], 777);
     }
-}
-
-TEST(SimdKernelsParity, EpochScanFirstFree)
-{
-    const SimdKernels &vec = simdKernels();
-    const SimdKernels &ref = scalarSimdKernels();
-    std::mt19937 rng(19);
-    const std::uint32_t epoch = 42;
-    const int width = 2;
-    std::uniform_int_distribution<int> stampD(0, 1);
-    std::uniform_int_distribution<int> fillD(0, 3);
-    for (int n : lengths) {
-        for (int rep = 0; rep < 50; ++rep) {
-            std::vector<std::uint32_t> stamp(static_cast<std::size_t>(n));
-            std::vector<int> fill(static_cast<std::size_t>(n));
-            for (int i = 0; i < n; ++i) {
-                stamp[std::size_t(i)] = stampD(rng) ? epoch : epoch - 1;
-                fill[std::size_t(i)] = fillD(rng);
-            }
-            int got = vec.epochScanFirstFree(stamp.data(), fill.data(),
-                                             epoch, width, n);
-            int want = ref.epochScanFirstFree(
-                stamp.data(), fill.data(), epoch, width, n);
-            ASSERT_EQ(got, want) << "n=" << n << " rep=" << rep;
-        }
-    }
-}
-
-TEST(SimdKernels, EpochScanIndexIsProbeTripCount)
-{
-    // Table 2 reconstruction: the returned index equals the number
-    // of full cycles probed before the landing cycle — exactly the
-    // popcount of the full-lane movemask below the first free bit.
-    const SimdKernels &vec = simdKernels();
-    const std::uint32_t epoch = 5;
-    const int width = 1;
-    for (int firstFree : {0, 1, 3, 7}) {
-        std::vector<std::uint32_t> stamp(8, epoch);
-        std::vector<int> fill(8, width); // all full...
-        fill[std::size_t(firstFree)] = 0; // ...except one
-        int idx = vec.epochScanFirstFree(stamp.data(), fill.data(),
-                                         epoch, width, 8);
-        ASSERT_EQ(idx, firstFree);
-        // Scalar probe count over the same window:
-        int probes = 0;
-        while (stamp[std::size_t(probes)] == epoch &&
-               fill[std::size_t(probes)] >= width)
-            ++probes;
-        EXPECT_EQ(idx, probes);
-    }
-    // All-full window: -1, caller falls back to the skip walk.
-    std::vector<std::uint32_t> stamp(8, epoch);
-    std::vector<int> fill(8, width);
-    EXPECT_EQ(vec.epochScanFirstFree(stamp.data(), fill.data(), epoch,
-                                     width, 8),
-              -1);
 }
 
 TEST(SimdKernelsParity, BlendAndMapKeys)

@@ -42,7 +42,6 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 doc["artifacts"]["superblocks"] = ""
 doc["artifacts"]["trace"] = ""
-doc["artifacts"]["bench_json"] = ""
 doc["artifacts"]["decision_logs"] = []
 doc["wall_ms"] = {}
 with open(sys.argv[2], "w") as f:

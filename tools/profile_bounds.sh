@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Profile the bound engine under `perf record -g` and print the
-# report. All arguments are forwarded to bounds_perf, e.g.:
+# report. The profiled run is the Table 2 bench (the full bound
+# ladder on the suite); all arguments are forwarded to it, e.g.:
 #
-#   tools/profile_bounds.sh                      # GP4 + FS8, scale 0.05
+#   tools/profile_bounds.sh --scale 0.05         # all six machines
 #   tools/profile_bounds.sh --scale 0.2 --config FS8
 #
 # Pass --simd on|off (before any bench flags) to A/B the vector vs.
@@ -10,7 +11,7 @@
 # so dispatch pins the scalar fallback at runtime — same binary, no
 # reconfigure (see docs/PERFORMANCE.md, "SIMD kernels and dispatch"):
 #
-#   tools/profile_bounds.sh --simd off --scale 0.2
+#   tools/profile_bounds.sh --simd off --scale 0.2 --config GP1
 #
 # Configure with -DBALANCE_PROFILE=ON first so frame pointers are
 # kept and the call graphs resolve (see docs/PERFORMANCE.md). When
@@ -20,7 +21,7 @@
 set -euo pipefail
 
 build="${BUILD_DIR:-build}"
-bench="$build/bench/bounds_perf"
+bench="$build/bench/table2_bound_complexity"
 out="${PERF_DATA:-perf_bounds.data}"
 
 if [ "${1:-}" = "--simd" ]; then
@@ -36,7 +37,7 @@ fi
 if [ ! -x "$bench" ]; then
     echo "building first..."
     cmake -B "$build"
-    cmake --build "$build" --target bounds_perf
+    cmake --build "$build" --target table2_bound_complexity
 fi
 
 if ! command -v perf >/dev/null 2>&1; then

@@ -114,9 +114,6 @@ for b in "${paper_benches[@]}" "${extension_benches[@]}"; do
     echo
 done
 
-echo "== micro_kernels =="
-"$build/bench/micro_kernels" | tee "$out/micro_kernels.txt"
-
 if [ -n "$report_out" ]; then
     echo
     echo "== run report (scale $scale) =="

@@ -28,7 +28,6 @@ SOURCES = {
     "FIGURE8": "figure8_gcc_cdf.txt",
     "OPTGAP": "optimality_gap.txt",
     "TWBUDGET": "ablation_tw_budget.txt",
-    "MICRO": "micro_kernels.txt",
 }
 
 
