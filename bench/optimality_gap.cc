@@ -98,8 +98,8 @@ main(int argc, char **argv)
                       fmtPercent(gap.max())});
     }
     std::cout << table.render() << "\n";
-    std::cout << "supports the paper's claim that the pairwise and\n"
-              << "triplewise bounds are very tight: on most small\n"
-              << "superblocks the tightest bound equals the optimum.\n";
+    std::cout << "expected shape (paper): the pairwise and triplewise\n"
+              << "bounds are very tight, so on most small superblocks\n"
+              << "the tightest bound equals the optimum.\n";
     return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "bounds/bound_limits.hh"
 #include "bounds/bound_scratch.hh"
 #include "bounds/pair_sweep.hh"
 #include "bounds/relaxation.hh"
@@ -11,6 +12,27 @@
 
 namespace balance
 {
+
+namespace
+{
+
+/**
+ * @return true when maxEvals cannot bind on a superblock with
+ *         @p numBr branches: a triple's grid holds at most
+ *         (maxLatRange + 1)^2 points, so C(numBr, 3) full grids fit.
+ *         Only then may the sweep skip points, since a skipped
+ *         evaluation would otherwise move where the budget cuts.
+ */
+bool
+budgetCannotBind(int numBr, const TriplewiseOptions &opts)
+{
+    long long triples =
+        (long long)numBr * (numBr - 1) * (numBr - 2) / 6;
+    long long span = (long long)opts.maxLatRange + 1;
+    return span * span <= opts.maxEvals / triples;
+}
+
+} // namespace
 
 TriplewiseResult
 computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
@@ -37,6 +59,8 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
     }
     TripleSweepCache cache(ctx, machine, earlyRC, lateRCPerBranch,
                            *scratch);
+
+    const bool pruneGate = budgetCannotBind(numBr, opts);
 
     // Per-branch accumulation for the partial Theorem 3 extension.
     std::vector<double> sums(std::size_t(numBr), 0.0);
@@ -76,23 +100,62 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
                 int bCap = std::min(ek + 1, bMin + opts.maxLatRange);
 
                 TriplePoint best;
+                double bestCost = 0.0;
                 bool haveBest = false;
                 bool cut = false;
+                auto cost = [&](int x, int y, int z) {
+                    return wi * x + wj * y + wk * z;
+                };
                 auto record = [&](TriplePoint pt) {
-                    double cost = wi * pt.x + wj * pt.y + wk * pt.z;
-                    if (!haveBest ||
-                        cost < wi * best.x + wj * best.y + wk * best.z) {
+                    double c = cost(pt.x, pt.y, pt.z);
+                    if (!haveBest || c < bestCost) {
                         best = pt;
+                        bestCost = c;
                         haveBest = true;
                     }
                 };
 
+                // Every point eval returns at (a, b) has x >= ei,
+                // y >= max(ej, ei + a) and z >= max(ek, ei + a + b)
+                // (i reaches k through j; DESIGN.md §5), and the
+                // boundary column pins (x, y) to (ei, ej). Priced by
+                // the same expression as record, a floor at or above
+                // bestCost marks a point that cannot win. The floor
+                // on z holds only up to maxBoundCycle, where
+                // composeBound saturates.
+                const bool prune =
+                    pruneGate &&
+                    std::max(ek, ei + aCap + bCap) <= maxBoundCycle;
+                auto dead = [&](int a, int b) {
+                    if (!prune || !haveBest)
+                        return false;
+                    int fy = a == aCap ? ej : std::max(ej, ei + a);
+                    return cost(ei, fy, std::max(ek, ei + a + b)) >=
+                           bestCost;
+                };
+
                 for (int a = aMin; a <= aCap; ++a) {
+                    // Floors rise with a up to the boundary column,
+                    // whose pinned (x, y) may sit lower: once both
+                    // are dead, no later point or capped fallback
+                    // can win.
+                    if (dead(a, bMin) && dead(aCap, bMin))
+                        break;
                     bool columnAllXAtFloor = true;
                     int yFloor = std::max(ej, ei + a);
                     bool innerBroke = false;
+                    bool pruned = false;
                     TriplePoint last{};
                     for (int b = bMin; b <= bCap; ++b) {
+                        // Floors rise with b, and the capped fallback
+                        // costs at least floor(a, bCap). The first
+                        // point always runs: x == ei forces the break
+                        // below, so it alone decides
+                        // columnAllXAtFloor.
+                        if (b > bMin && dead(a, b)) {
+                            pruned = true;
+                            break;
+                        }
                         TriplePoint pt = cache.eval(a, b, counters);
                         ++evals;
                         // Boundary column: relax coordinates to the
@@ -121,7 +184,7 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
                     }
                     if (cut)
                         break;
-                    if (!innerBroke) {
+                    if (!innerBroke && !pruned) {
                         // Capped fallback covering separations past
                         // bCap at this exact a.
                         TriplePoint capped{ei, yFloor, last.z};

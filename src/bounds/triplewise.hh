@@ -52,7 +52,12 @@ struct TriplewiseOptions
      * Total relaxation evaluations allowed per superblock; once
      * exhausted, the triple it cut mid-sweep and all later ones are
      * skipped (the partial aggregation over fully swept triples stays
-     * valid).
+     * valid). When C(B, 3) * (maxLatRange + 1)^2 fits in it, as at
+     * the defaults (137,500 at B = 12), the budget cannot bind and
+     * the sweep skips every grid point whose cost floor cannot beat
+     * its triple's best: fewer trips, the same bound. Otherwise every
+     * point is evaluated, so the budget cuts exactly where the
+     * unpruned sweep does.
      */
     long long maxEvals = 200000;
 };

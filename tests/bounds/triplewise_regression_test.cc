@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include "bounds/reference.hh"
 #include "bounds/superblock_bounds.hh"
 #include "eval/experiment.hh"
+#include "eval/pipeline.hh"
 #include "workload/sb_io.hh"
 
 namespace balance
@@ -147,6 +149,110 @@ edge 34 36 3
 edge 35 36 1
 end
 )SB";
+
+/**
+ * A 25-op, 5-exit superblock from the generator where floor pruning
+ * must still reach the boundary column. On GP1 one triple's interior
+ * columns all die on their floors while its boundary point, whose
+ * (x, y) are pinned to the EarlyRC floors, wins. Only each column's
+ * first point tells whether the sweep goes on to that column, so it
+ * must run even when its floor is dead: skipping it ends the sweep
+ * early with a TW bound of 20.8542 instead of 20.8475.
+ */
+const char *boundaryWinsText = R"SB(
+superblock gen.s1987
+freq 14.664405963982817
+op 0 mem 2
+op 1 mem 1
+op 2 mem 1
+op 3 int 1
+branch 4 0.054714171926887128 1
+op 5 int 1
+op 6 int 1
+op 7 mem 2
+op 8 mem 2
+op 9 int 1
+branch 10 0.23049184503064607 1
+op 11 int 1
+op 12 int 1
+op 13 int 1
+op 14 int 1
+branch 15 0.012436520271989861 1
+op 16 mem 2
+op 17 int 1
+op 18 int 1
+branch 19 0.015506141907775779 1
+op 20 mem 2
+op 21 int 1
+op 22 mem 1
+op 23 int 1
+branch 24 0.68685132086270118 1
+edge 0 1 2
+edge 0 2 2
+edge 0 4 2
+edge 0 5 2
+edge 0 6 2
+edge 0 16 2
+edge 1 2 1
+edge 1 4 1
+edge 1 5 1
+edge 2 3 1
+edge 2 4 1
+edge 2 5 1
+edge 2 7 1
+edge 2 9 1
+edge 2 16 1
+edge 3 4 1
+edge 3 5 1
+edge 3 8 1
+edge 3 11 1
+edge 4 10 1
+edge 5 6 1
+edge 5 10 1
+edge 6 7 1
+edge 6 8 1
+edge 6 10 1
+edge 6 11 1
+edge 7 8 2
+edge 7 10 2
+edge 8 10 2
+edge 8 12 2
+edge 9 10 1
+edge 9 16 1
+edge 10 15 1
+edge 11 13 1
+edge 11 15 1
+edge 12 15 1
+edge 12 16 1
+edge 13 15 1
+edge 13 16 1
+edge 14 15 1
+edge 14 17 1
+edge 14 18 1
+edge 15 19 1
+edge 16 19 2
+edge 17 19 1
+edge 18 19 1
+edge 19 24 1
+edge 20 24 2
+edge 21 24 1
+edge 22 24 1
+edge 23 24 1
+end
+)SB";
+
+TEST(TriplewiseRegression, PrunedSweepStillReachesTheBoundaryColumn)
+{
+    Superblock sb = parseSuperblock(boundaryWinsText);
+    GraphContext ctx(sb);
+    MachineModel m = MachineModel::gp1();
+    BoundCounterSet engineCounters, refCounters;
+    WctBounds engine = computeWctBounds(ctx, m, {}, &engineCounters);
+    WctBounds ref = reference::computeWctBounds(ctx, m, {}, &refCounters);
+    EXPECT_EQ(engine.tw, ref.tw);
+    EXPECT_NEAR(engine.tw, 20.8475, 0.0001);
+    EXPECT_LT(engineCounters.tw.trips, refCounters.tw.trips);
+}
 
 TEST(TriplewiseRegression, BoundStaysBelowSchedules)
 {

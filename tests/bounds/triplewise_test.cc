@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "bounds/branch_bounds.hh"
+#include "bounds/reference.hh"
 #include "graph/builder.hh"
 #include "workload/generator.hh"
+#include "workload/suite.hh"
 
 namespace balance
 {
@@ -47,6 +49,72 @@ threeExits()
     OpId br2 = b.addBranch(0.5);
     b.addEdge(d, br2);
     return b.build();
+}
+
+/**
+ * The first superblock of the sampled suite with at least nine
+ * branches: wide enough that many triples reach a sweep the floor
+ * can cut short.
+ */
+Superblock
+nineBranchSuiteSuperblock()
+{
+    for (const BenchmarkProgram &prog : buildSuite({SuiteOptions{}.seed,
+                                                    0.01}))
+        for (const Superblock &sb : prog.superblocks)
+            if (sb.numBranches() >= 9 &&
+                sb.numBranches() <= TriplewiseOptions{}.maxBranches)
+                return sb;
+    ADD_FAILURE() << "no superblock with 9-12 branches in the suite";
+    return threeExits();
+}
+
+TEST(Triplewise, FloorPruningSkipsRelaxationsNotTheBound)
+{
+    TripleFixture f(nineBranchSuiteSuperblock(), MachineModel::fs8());
+    BoundCounters engineTrips, refTrips;
+    TriplewiseResult engine =
+        computeTriplewise(f.ctx, f.machine, f.earlyRC, f.lateRCs, *f.pw,
+                          {}, &engineTrips);
+    TriplewiseResult ref = reference::computeTriplewise(
+        f.ctx, f.machine, f.earlyRC, f.lateRCs, f.pw->superblockWct(),
+        {}, &refTrips);
+    EXPECT_FALSE(engine.fellBack);
+    EXPECT_EQ(engine.wct, ref.wct);
+    EXPECT_EQ(engine.triplesEvaluated, ref.triplesEvaluated);
+    EXPECT_LT(engineTrips.trips, refTrips.trips);
+}
+
+TEST(Triplewise, BudgetOneShortOfTheGridEvaluatesEveryPoint)
+{
+    // One evaluation short of C(B, 3) full grids, the budget could
+    // bind in principle, so the sweep evaluates every point; in fact
+    // no triple comes near a full grid, so nothing is cut and the
+    // bound must equal the pruned default run's.
+    TripleFixture f(nineBranchSuiteSuperblock(), MachineModel::fs8());
+    long long b = f.sb.numBranches();
+    long long triples = b * (b - 1) * (b - 2) / 6;
+    TriplewiseOptions opts;
+    long long span = opts.maxLatRange + 1;
+    opts.maxEvals = triples * span * span - 1;
+
+    BoundCounters prunedTrips, fullTrips, refTrips;
+    TriplewiseResult pruned =
+        computeTriplewise(f.ctx, f.machine, f.earlyRC, f.lateRCs, *f.pw,
+                          {}, &prunedTrips);
+    TriplewiseResult full =
+        computeTriplewise(f.ctx, f.machine, f.earlyRC, f.lateRCs, *f.pw,
+                          opts, &fullTrips);
+    TriplewiseResult ref = reference::computeTriplewise(
+        f.ctx, f.machine, f.earlyRC, f.lateRCs, f.pw->superblockWct(),
+        opts, &refTrips);
+
+    EXPECT_EQ(full.triplesEvaluated, triples);
+    EXPECT_EQ(fullTrips.trips, refTrips.trips);
+    EXPECT_EQ(full.wct, ref.wct);
+    EXPECT_EQ(full.wct, pruned.wct);
+    EXPECT_EQ(full.triplesEvaluated, pruned.triplesEvaluated);
+    EXPECT_LT(prunedTrips.trips, fullTrips.trips);
 }
 
 TEST(Triplewise, FallsBackBelowThreeBranches)
