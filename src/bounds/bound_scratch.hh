@@ -13,7 +13,10 @@
  * Ownership rule: one BoundScratch per worker, created next to the
  * GraphContext for the superblock being evaluated and never shared
  * across threads. Reuse across superblocks on the same machine model
- * is fine (buffers only ever grow to the high-water mark).
+ * is fine (buffers only ever grow to the high-water mark). The
+ * Triplewise fan-out lends the caller's scratch to its lane 0 and
+ * gives every other lane a scratch of its own, folded back with
+ * absorbLane.
  *
  * Reusing the scratch changes no observable result: the (late,
  * early, op) relaxation order is a strict total order, so bound
@@ -82,6 +85,19 @@ struct BoundScratch
     std::vector<int> keys;
     /** Cache hit/miss tallies for the sweep skeletons. */
     BoundEngineStats stats;
+
+    /**
+     * Fold the telemetry of a fan-out lane's scratch into this one:
+     * relaxation resets add up and the arena keeps the larger
+     * high-water mark, so neither depends on which lane ran what.
+     * Lanes read prebuilt skeletons and tally no hits of their own.
+     */
+    void
+    absorbLane(const BoundScratch &lane)
+    {
+        table.addResets(lane.table.resetCount());
+        arena.raiseHighWater(lane.arena.highWaterBytes());
+    }
 };
 
 } // namespace balance

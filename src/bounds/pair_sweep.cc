@@ -1,6 +1,7 @@
 #include "bounds/pair_sweep.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/diagnostics.hh"
 #include "support/simd_kernels.hh"
@@ -20,6 +21,7 @@ SinkSkeleton::build(const GraphContext &ctx,
     const std::vector<OpId> &members = ctx.closureOps(branchIdx);
     const std::vector<int> &height = ctx.heightToBranch(branchIdx);
 
+    branch = branchIdx;
     sink = sb.branches()[std::size_t(branchIdx)];
     sinkEarly = earlyRC[std::size_t(sink)];
     n = int(members.size());
@@ -29,11 +31,14 @@ SinkSkeleton::build(const GraphContext &ctx,
     early.resize(std::size_t(n));
     hSink.resize(std::size_t(n));
     relLate.resize(std::size_t(n));
+    cpSink = sinkEarly;
     for (int m = 0; m < n; ++m) {
         OpId x = members[std::size_t(m)];
         cls[std::size_t(m)] = sb.op(x).cls;
         early[std::size_t(m)] = earlyRC[std::size_t(x)];
         hSink[std::size_t(m)] = height[std::size_t(x)];
+        cpSink = std::max(cpSink, early[std::size_t(m)] +
+                                      hSink[std::size_t(m)]);
         int lrc = lateRC[std::size_t(x)];
         relLate[std::size_t(m)] =
             lrc == lateUnconstrained ? lateUnconstrained : lrc - sinkEarly;
@@ -109,6 +114,34 @@ SinkSkeleton::relax(const MachineModel &machine, BoundScratch &scratch,
                                   scratch.table, counters);
 }
 
+SkeletonTable::SkeletonTable(
+    const GraphContext &ctx, const std::vector<int> &earlyRC,
+    const std::vector<std::vector<int>> &lateRCPerBranch)
+    : ctx(ctx), earlyRC(earlyRC), lateRCPerBranch(lateRCPerBranch),
+      perBranch(std::size_t(ctx.sb().numBranches()))
+{
+    bsAssert(int(lateRCPerBranch.size()) == ctx.sb().numBranches(),
+             "need one LateRC vector per branch");
+}
+
+const SinkSkeleton &
+SkeletonTable::get(int branchIdx, long long &hits, long long &misses)
+{
+    bsAssert(branchIdx >= 0 && branchIdx < ctx.sb().numBranches(),
+             "bad sink branch ", branchIdx);
+    std::unique_ptr<SinkSkeleton> &slot =
+        perBranch[std::size_t(branchIdx)];
+    if (!slot) {
+        ++misses;
+        slot = std::make_unique<SinkSkeleton>();
+        slot->build(ctx, earlyRC,
+                    lateRCPerBranch[std::size_t(branchIdx)], branchIdx);
+    } else {
+        ++hits;
+    }
+    return *slot;
+}
+
 } // namespace detail
 
 PairSweepCache::PairSweepCache(
@@ -116,36 +149,16 @@ PairSweepCache::PairSweepCache(
     const std::vector<int> &earlyRC,
     const std::vector<std::vector<int>> &lateRCPerBranch,
     BoundScratch &scratch)
-    : ctx(ctx), machine(machine), earlyRC(earlyRC),
-      lateRCPerBranch(lateRCPerBranch), scratch(scratch),
-      perBranch(std::size_t(ctx.sb().numBranches()))
+    : ctx(ctx), machine(machine), earlyRC(earlyRC), scratch(scratch),
+      skeletons(ctx, earlyRC, lateRCPerBranch)
 {
-    bsAssert(int(lateRCPerBranch.size()) == ctx.sb().numBranches(),
-             "need one LateRC vector per branch");
-}
-
-const detail::SinkSkeleton &
-PairSweepCache::skeletonFor(int branchIdx)
-{
-    std::unique_ptr<detail::SinkSkeleton> &slot =
-        perBranch[std::size_t(branchIdx)];
-    if (!slot) {
-        ++scratch.stats.pairSkeletonMisses;
-        slot = std::make_unique<detail::SinkSkeleton>();
-        slot->build(ctx, earlyRC,
-                    lateRCPerBranch[std::size_t(branchIdx)], branchIdx);
-    } else {
-        ++scratch.stats.pairSkeletonHits;
-    }
-    return *slot;
 }
 
 void
 PairSweepCache::bindSink(int bj)
 {
-    bsAssert(bj >= 0 && bj < ctx.sb().numBranches(), "bad sink branch ",
-             bj);
-    sk = &skeletonFor(bj);
+    sk = &skeletons.get(bj, scratch.stats.pairSkeletonHits,
+                        scratch.stats.pairSkeletonMisses);
     ejVal = sk->sinkEarly;
     lMaxVal = ejVal + 1;
     scratch.arena.reset();
@@ -281,42 +294,18 @@ computePairBound(PairSweepCache &cache, int bi, double wi, double wj,
     return best;
 }
 
-TripleSweepCache::TripleSweepCache(
-    const GraphContext &ctx, const MachineModel &machine,
-    const std::vector<int> &earlyRC,
-    const std::vector<std::vector<int>> &lateRCPerBranch,
-    BoundScratch &scratch)
-    : ctx(ctx), machine(machine), earlyRC(earlyRC),
-      lateRCPerBranch(lateRCPerBranch), scratch(scratch),
-      perBranch(std::size_t(ctx.sb().numBranches()))
+TripleSweepCache::TripleSweepCache(const GraphContext &ctx,
+                                   const MachineModel &machine,
+                                   const std::vector<int> &earlyRC,
+                                   BoundScratch &scratch)
+    : ctx(ctx), machine(machine), earlyRC(earlyRC), scratch(scratch)
 {
-    bsAssert(int(lateRCPerBranch.size()) == ctx.sb().numBranches(),
-             "need one LateRC vector per branch");
-}
-
-const detail::SinkSkeleton &
-TripleSweepCache::skeletonFor(int branchIdx)
-{
-    std::unique_ptr<detail::SinkSkeleton> &slot =
-        perBranch[std::size_t(branchIdx)];
-    if (!slot) {
-        ++scratch.stats.tripleSkeletonMisses;
-        slot = std::make_unique<detail::SinkSkeleton>();
-        slot->build(ctx, earlyRC,
-                    lateRCPerBranch[std::size_t(branchIdx)], branchIdx);
-    } else {
-        ++scratch.stats.tripleSkeletonHits;
-    }
-    return *slot;
 }
 
 void
-TripleSweepCache::bindSink(int bk)
+TripleSweepCache::bindSink(const detail::SinkSkeleton &sink)
 {
-    bsAssert(bk >= 0 && bk < ctx.sb().numBranches(), "bad sink branch ",
-             bk);
-    sk = &skeletonFor(bk);
-    sinkIdx = bk;
+    sk = &sink;
     ekVal = sk->sinkEarly;
     scratch.arena.reset();
     hiBuf = scratch.arena.alloc<int>(std::size_t(sk->n));
@@ -333,16 +322,38 @@ TripleSweepCache::bindTriple(int bi, int bj)
     eiVal = earlyRC[std::size_t(i)];
     ejVal = earlyRC[std::size_t(j)];
 
+    // The gather also takes the critical-path terms of i and j: the
+    // members with a path to a branch (height >= 0) are exactly the
+    // ones the composition routes through it.
     const std::vector<int> &heightI = ctx.heightToBranch(bi);
     const std::vector<int> &heightJ = ctx.heightToBranch(bj);
+    const long long noPath = std::numeric_limits<long long>::min() / 2;
+    cI = cJ = noPath;
     for (int m = 0; m < sk->n; ++m) {
         OpId x = sk->ops[m];
-        hiBuf[std::size_t(m)] = heightI[std::size_t(x)];
-        hjBuf[std::size_t(m)] = heightJ[std::size_t(x)];
+        int hi = heightI[std::size_t(x)];
+        int hj = heightJ[std::size_t(x)];
+        hiBuf[std::size_t(m)] = hi;
+        hjBuf[std::size_t(m)] = hj;
+        long long e = sk->early[std::size_t(m)];
+        if (hi >= 0)
+            cI = std::max(cI, e + hi);
+        if (hj >= 0)
+            cJ = std::max(cJ, e + hj);
     }
 
     // Height of j within the sink's subgraph, for the funnel term.
-    hKj = ctx.heightToBranch(sinkIdx)[std::size_t(j)];
+    hKj = ctx.heightToBranch(sk->branch)[std::size_t(j)];
+}
+
+long long
+TripleSweepCache::criticalPath(int a, int b) const
+{
+    // A member reaching i reaches k through the new edges with height
+    // hi + a + t; one reaching only j, hj + t; every member keeps its
+    // own height to k. The maxima separate by term.
+    long long t = std::max(b, hKj);
+    return std::max({(long long)sk->cpSink, cJ + t, cI + a + t});
 }
 
 TriplePoint
@@ -366,10 +377,10 @@ TripleSweepCache::eval(int a, int b, BoundCounters *counters)
 
     int tard = sk->relax(machine, scratch, r.cp, r.minKey, r.maxKey,
                          counters);
-    int cp = r.cp;
+    lastCp = r.cp;
 
     TriplePoint pt;
-    pt.z = composeBound(cp, tard);
+    pt.z = composeBound(r.cp, tard);
     pt.y = std::max(pt.z - b, ejVal);
     pt.x = std::max(pt.y - a, eiVal);
     return pt;

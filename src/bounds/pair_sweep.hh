@@ -12,8 +12,8 @@
  * table. This engine exploits what stays fixed across the sweep:
  *
  *  - Per sink branch, the skeleton (members, classes, EarlyRC,
- *    heights to the sink, LateRC slack) is built once and cached for
- *    the lifetime of the cache object (SinkSkeleton).
+ *    heights to the sink, LateRC slack) is built once and kept in a
+ *    SkeletonTable for the lifetime of the sweep (SinkSkeleton).
  *  - Per source branch, the heights to the source are gathered once
  *    into a dense arena span (bindPair / bindTriple).
  *  - Per sweep point, only the composed heights change. The greedy's
@@ -68,8 +68,15 @@ namespace detail
 struct SinkSkeleton
 {
     int n = 0;            //!< number of members
+    int branch = -1;      //!< the sink's position in sb().branches()
     OpId sink = invalidOp;
     int sinkEarly = 0;    //!< EarlyRC of the sink
+    /**
+     * max(sinkEarly, max over members of EarlyRC + height to the
+     * sink): the sink's own term of every composed critical path
+     * (C_k, DESIGN.md §5).
+     */
+    int cpSink = 0;
     const OpId *ops = nullptr; //!< members, ascending (ctx-owned)
     std::vector<OpClass> cls;
     std::vector<int> early;   //!< EarlyRC per member
@@ -99,6 +106,35 @@ struct SinkSkeleton
      */
     int relax(const MachineModel &machine, BoundScratch &scratch, int cp,
               int minKey, int maxKey, BoundCounters *counters) const;
+};
+
+/**
+ * Sink skeletons by branch, each built on first request and kept for
+ * the table's lifetime. Building fills GraphContext's lazy closure
+ * cache, so a fan-out takes every skeleton it needs before it starts
+ * and its lanes only read them.
+ */
+class SkeletonTable
+{
+  public:
+    /** See PairSweepCache; the vectors must outlive the table. */
+    SkeletonTable(const GraphContext &ctx,
+                  const std::vector<int> &earlyRC,
+                  const std::vector<std::vector<int>> &lateRCPerBranch);
+
+    /**
+     * @return the skeleton of branch @p branchIdx, built on first
+     *         request; ticks @p misses when this call built it and
+     *         @p hits otherwise (BoundEngineStats telemetry).
+     */
+    const SinkSkeleton &get(int branchIdx, long long &hits,
+                            long long &misses);
+
+  private:
+    const GraphContext &ctx;
+    const std::vector<int> &earlyRC;
+    const std::vector<std::vector<int>> &lateRCPerBranch;
+    std::vector<std::unique_ptr<SinkSkeleton>> perBranch;
 };
 
 } // namespace detail
@@ -145,15 +181,12 @@ class PairSweepCache
     std::vector<PairPoint> recorded;
 
   private:
-    const detail::SinkSkeleton &skeletonFor(int branchIdx);
-
     const GraphContext &ctx;
     const MachineModel &machine;
     const std::vector<int> &earlyRC;
-    const std::vector<std::vector<int>> &lateRCPerBranch;
     BoundScratch &scratch;
 
-    std::vector<std::unique_ptr<detail::SinkSkeleton>> perBranch;
+    detail::SkeletonTable skeletons;
     const detail::SinkSkeleton *sk = nullptr;
     std::span<int> hiBuf; //!< heights to the source, per member
 
@@ -176,18 +209,25 @@ PairPoint computePairBound(PairSweepCache &cache, int bi, double wi,
 /**
  * Sweep engine for the Triplewise bound: same skeleton machinery
  * with two gathered height arrays and the j -> k funnel composition.
+ * Skeletons come from a SkeletonTable the caller owns, so several
+ * caches (one per lane of a fan-out, each on its own scratch) can
+ * sweep different triples of one superblock at once.
  */
 class TripleSweepCache
 {
   public:
-    /** See PairSweepCache; parameters are identical. */
+    /**
+     * @param ctx Analysis context for the superblock.
+     * @param machine Resource widths (must match @p scratch).
+     * @param earlyRC EarlyRC for every operation.
+     * @param scratch Working storage private to this cache's thread.
+     */
     TripleSweepCache(const GraphContext &ctx, const MachineModel &machine,
                      const std::vector<int> &earlyRC,
-                     const std::vector<std::vector<int>> &lateRCPerBranch,
                      BoundScratch &scratch);
 
-    /** Select the last branch @p bk (the relaxation sink). */
-    void bindSink(int bk);
+    /** Select the last branch of the triple (the relaxation sink). */
+    void bindSink(const detail::SinkSkeleton &sink);
 
     /** Select the earlier branches @p bi < @p bj < bound sink. */
     void bindTriple(int bi, int bj);
@@ -197,28 +237,39 @@ class TripleSweepCache
     int ej() const { return ejVal; }
     int ek() const { return ekVal; }
 
+    /**
+     * The critical path eval(a, b) composes, in closed form and O(1):
+     * max(C_k, C_j + t, C_i + a + t) with t = max(b, h_kj), where C_k
+     * is the skeleton's cpSink and C_j, C_i are the maxima over the
+     * members of EarlyRC plus height to j and i (a term drops when no
+     * member reaches its branch). It rises with both a and b
+     * (DESIGN.md §5).
+     */
+    long long criticalPath(int a, int b) const;
+
     /** Evaluate one (a, b) separation grid point. */
     TriplePoint eval(int a, int b, BoundCounters *counters);
 
-  private:
-    const detail::SinkSkeleton &skeletonFor(int branchIdx);
+    /** @return the critical path the last eval() composed. */
+    int lastCriticalPath() const { return lastCp; }
 
+  private:
     const GraphContext &ctx;
     const MachineModel &machine;
     const std::vector<int> &earlyRC;
-    const std::vector<std::vector<int>> &lateRCPerBranch;
     BoundScratch &scratch;
 
-    std::vector<std::unique_ptr<detail::SinkSkeleton>> perBranch;
     const detail::SinkSkeleton *sk = nullptr;
     std::span<int> hiBuf; //!< heights to branch i, per member
     std::span<int> hjBuf; //!< heights to branch j, per member
 
-    int sinkIdx = -1;
     int eiVal = 0;
     int ejVal = 0;
     int ekVal = 0;
     int hKj = -1; //!< height of branch j toward the sink k
+    long long cI = 0; //!< max EarlyRC + height to i over the members
+    long long cJ = 0; //!< max EarlyRC + height to j over the members
+    int lastCp = 0;
 };
 
 } // namespace balance

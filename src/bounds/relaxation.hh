@@ -132,6 +132,12 @@ class RelaxTable
     long long resetCount() const { return resets; }
 
     /**
+     * Count @p n resets another table ran, so a fan-out's lanes
+     * report through their caller's table. Telemetry only.
+     */
+    void addResets(long long n) { resets += n; }
+
+    /**
      * Place one operation of class @p cls into the earliest cycle
      * >= @p early with a free unit of its pool.
      *

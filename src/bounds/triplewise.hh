@@ -53,11 +53,13 @@ struct TriplewiseOptions
      * exhausted, the triple it cut mid-sweep and all later ones are
      * skipped (the partial aggregation over fully swept triples stays
      * valid). When C(B, 3) * (maxLatRange + 1)^2 fits in it, as at
-     * the defaults (137,500 at B = 12), the budget cannot bind and
-     * the sweep skips every grid point whose cost floor cannot beat
-     * its triple's best: fewer trips, the same bound. Otherwise every
-     * point is evaluated, so the budget cuts exactly where the
-     * unpruned sweep does.
+     * the defaults (137,500 at B = 12), the budget cannot bind: the
+     * sweep skips every grid point whose cost floor cannot beat its
+     * triple's best, and the triples run in parallel on the process
+     * pool, folded in enumeration order: fewer trips, the same bound
+     * on any number of lanes. Otherwise one serial sweep evaluates
+     * every point, so the budget cuts exactly where the unpruned
+     * sweep does.
      */
     long long maxEvals = 200000;
 };
@@ -85,7 +87,9 @@ struct TriplewiseResult
  * @param opts Budgets.
  * @param counters Optional cost accounting.
  * @param scratch Optional worker-private working storage reused
- *        across calls; a private one is created when null.
+ *        across calls; a private one is created when null. The
+ *        parallel sweep lends it to one lane and folds the other
+ *        lanes' telemetry into it.
  */
 TriplewiseResult computeTriplewise(
     const GraphContext &ctx, const MachineModel &machine,

@@ -1,5 +1,6 @@
 #include "service/protocol.hh"
 
+#include <algorithm>
 #include <cctype>
 
 #include "eval/experiment.hh"
@@ -17,6 +18,20 @@ toLower(std::string s)
     for (char &c : s)
         c = char(std::tolower(static_cast<unsigned char>(c)));
     return s;
+}
+
+/** @return the cycle span maxCycleSpan limits. */
+long long
+cycleSpan(const Superblock &sb)
+{
+    long long span = sb.numOps();
+    for (OpId v = 0; v < sb.numOps(); ++v) {
+        int longest = sb.op(v).latency;
+        for (const Adjacent &e : sb.succs(v))
+            longest = std::max(longest, e.latency);
+        span += longest;
+    }
+    return span;
 }
 
 /** Parse one request object (already known to be an Object). */
@@ -40,6 +55,11 @@ parseOneRequest(const JsonValue &obj, const ProtocolLimits &limits,
     if (out.sb.numOps() > limits.maxOps) {
         return fail("superblock has " + std::to_string(out.sb.numOps()) +
                     " ops; limit is " + std::to_string(limits.maxOps));
+    }
+    if (long long span = cycleSpan(out.sb); span > maxCycleSpan) {
+        return fail("superblock spans " + std::to_string(span) +
+                    " cycles (ops plus each op's longest latency); "
+                    "limit is " + std::to_string(maxCycleSpan));
     }
 
     if (const JsonValue *m = obj.find("machine")) {

@@ -85,6 +85,17 @@ struct ServiceResult
                            ///< (header-only; never serialized)
 };
 
+/**
+ * Largest cycle span a request may carry: the op count plus, per op,
+ * the longest latency it imposes (its own or an outgoing edge's). A
+ * serial schedule in program order fits in that many cycles, so
+ * every EarlyRC, relaxation placement and schedule cycle lies within
+ * a small multiple of it, and so does every cycle-indexed table one
+ * request can make the engine allocate (a RelaxTable per Triplewise
+ * lane among them). Machine latencies keep even 4096 ops far below.
+ */
+constexpr long long maxCycleSpan = 1 << 16;
+
 /** Parse limits for one request body. */
 struct ProtocolLimits
 {

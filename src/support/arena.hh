@@ -87,6 +87,17 @@ class ScratchArena
         return liveBytes > highWater ? liveBytes : highWater;
     }
 
+    /**
+     * Raise the high-water mark to at least @p bytes, folding another
+     * arena's mark into this one's. Telemetry only.
+     */
+    void
+    raiseHighWater(std::size_t bytes)
+    {
+        if (bytes > highWater)
+            highWater = bytes;
+    }
+
   private:
     struct Block
     {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
+#include "bounds/bound_scratch.hh"
 #include "bounds/branch_bounds.hh"
+#include "bounds/pair_sweep.hh"
 #include "bounds/reference.hh"
 #include "graph/builder.hh"
+#include "support/parallel_for.hh"
 #include "workload/generator.hh"
 #include "workload/suite.hh"
 
@@ -115,6 +121,113 @@ TEST(Triplewise, BudgetOneShortOfTheGridEvaluatesEveryPoint)
     EXPECT_EQ(full.wct, pruned.wct);
     EXPECT_EQ(full.triplesEvaluated, pruned.triplesEvaluated);
     EXPECT_LT(prunedTrips.trips, fullTrips.trips);
+}
+
+TEST(Triplewise, ClosedFormCriticalPathIsTheComposedOne)
+{
+    // The sweep's z floor rests on criticalPath(a, b) being exactly
+    // the cp eval(a, b) composes. Check it at every grid point the
+    // sweep can visit, for every triple, on every machine.
+    Superblock sb = nineBranchSuiteSuperblock();
+    TriplewiseOptions opts;
+    long long points = 0;
+    for (const MachineModel &m : MachineModel::paperConfigs()) {
+        TripleFixture f(sb, m);
+        BoundScratch scratch(f.machine);
+        detail::SkeletonTable skeletons(f.ctx, f.earlyRC, f.lateRCs);
+        TripleSweepCache cache(f.ctx, f.machine, f.earlyRC, scratch);
+        long long hits = 0, misses = 0;
+        int numBr = f.sb.numBranches();
+        for (int bi = 0; bi < numBr; ++bi) {
+            for (int bj = bi + 1; bj < numBr; ++bj) {
+                for (int bk = bj + 1; bk < numBr; ++bk) {
+                    cache.bindSink(skeletons.get(bk, hits, misses));
+                    cache.bindTriple(bi, bj);
+                    int aMin = f.sb.op(f.sb.branches()[bi]).latency;
+                    int bMin = f.sb.op(f.sb.branches()[bj]).latency;
+                    int aCap = std::min(cache.ek() + 1,
+                                        aMin + opts.maxLatRange);
+                    int bCap = std::min(cache.ek() + 1,
+                                        bMin + opts.maxLatRange);
+                    for (int a = aMin; a <= aCap; ++a) {
+                        for (int b = bMin; b <= bCap; ++b) {
+                            cache.eval(a, b, nullptr);
+                            ASSERT_EQ(cache.criticalPath(a, b),
+                                      cache.lastCriticalPath())
+                                << m.name() << " triple (" << bi << ", "
+                                << bj << ", " << bk << ") at (" << a
+                                << ", " << b << ")";
+                            ++points;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(points, 0);
+}
+
+/** One TW run's observable outcome: the result and its trips. */
+struct TwRun
+{
+    TriplewiseResult result;
+    long long trips = 0;
+};
+
+/** Run TW on a fixture of its own, so callers can run concurrently. */
+TwRun
+runTriplewise(const Superblock &sb, const MachineModel &m)
+{
+    TripleFixture f(sb, m);
+    BoundCounters counters;
+    TwRun run;
+    run.result = computeTriplewise(f.ctx, f.machine, f.earlyRC,
+                                   f.lateRCs, *f.pw, {}, &counters);
+    run.trips = counters.trips;
+    return run;
+}
+
+void
+expectSameRun(const TwRun &got, const TwRun &want, const char *where)
+{
+    EXPECT_EQ(got.result.wct, want.result.wct) << where;
+    EXPECT_EQ(got.result.triplesEvaluated, want.result.triplesEvaluated)
+        << where;
+    EXPECT_EQ(got.result.fellBack, want.result.fellBack) << where;
+    EXPECT_EQ(got.trips, want.trips) << where;
+}
+
+TEST(Triplewise, FanOutIsDeterministicAcrossCallersAndNesting)
+{
+    // A 12-branch superblock: 220 triples, fanned out over the pool.
+    // Whichever lane draws which triple, the value, the counts and
+    // the trips must come out the same: on a repeat, with four
+    // callers at once, and from inside a pool task.
+    Superblock sb = nineBranchSuiteSuperblock();
+    ASSERT_EQ(sb.numBranches(), 12);
+    const MachineModel m = MachineModel::gp1();
+
+    TwRun want = runTriplewise(sb, m);
+    EXPECT_FALSE(want.result.fellBack);
+    EXPECT_EQ(want.result.triplesEvaluated, 220);
+
+    expectSameRun(runTriplewise(sb, m), want, "repeat");
+
+    std::vector<TwRun> concurrent(4);
+    std::vector<std::thread> callers;
+    for (TwRun &slot : concurrent)
+        callers.emplace_back([&] { slot = runTriplewise(sb, m); });
+    for (std::thread &t : callers)
+        t.join();
+    for (const TwRun &run : concurrent)
+        expectSameRun(run, want, "four callers at once");
+
+    std::vector<TwRun> nested(4);
+    parallelFor(
+        nested.size(),
+        [&](std::size_t i) { nested[i] = runTriplewise(sb, m); }, 4);
+    for (const TwRun &run : nested)
+        expectSameRun(run, want, "inside parallelFor");
 }
 
 TEST(Triplewise, FallsBackBelowThreeBranches)

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/builder.hh"
 #include "support/json.hh"
+#include "workload/generator.hh"
 #include "workload/paper_figures.hh"
 #include "workload/sb_io.hh"
 
@@ -165,6 +167,84 @@ TEST(ServiceProtocol, EnforcesBatchAndOpLimits)
     EXPECT_FALSE(
         parseServiceRequestSet(requestJson(), limits, set, &err));
     EXPECT_NE(err.find("ops"), std::string::npos) << err;
+}
+
+/** A single-request body for @p sb. */
+std::string
+requestFor(const Superblock &sb)
+{
+    JsonWriter w;
+    w.beginObject().key("superblock").value(writeSuperblock(sb));
+    w.endObject();
+    return w.str();
+}
+
+TEST(ServiceProtocol, RefusesHugeCycleSpansAtParseTime)
+{
+    // A 17-op IntAlu chain at latency 2^24 per op: LC alone asked for
+    // gigabytes on it, since relaxation tables are indexed by cycle.
+    // The parser refuses it, so no bound ever runs on it.
+    const int lat = 1 << 24;
+    SuperblockBuilder b("span-probe");
+    OpId prev = b.addOp(OpClass::IntAlu, lat);
+    for (int k = 1; k < 16; ++k) {
+        OpId v = b.addOp(OpClass::IntAlu, lat);
+        b.addEdge(prev, v);
+        prev = v;
+    }
+    b.addEdge(prev, b.addBranch(1.0));
+    Superblock probe = b.build();
+    ASSERT_EQ(probe.numOps(), 17);
+
+    ServiceRequestSet set;
+    std::string err;
+    EXPECT_FALSE(parseServiceRequestSet(requestFor(probe), {}, set, &err));
+    long long span = 17 + 16LL * lat + 1;
+    EXPECT_NE(err.find(std::to_string(span)), std::string::npos) << err;
+    EXPECT_NE(err.find(std::to_string(maxCycleSpan)), std::string::npos)
+        << err;
+
+    // An edge longer than its source op's latency counts too.
+    SuperblockBuilder e("edge-probe");
+    OpId a = e.addOp(OpClass::IntAlu);
+    e.addEdge(a, e.addBranch(1.0), int(maxCycleSpan));
+    EXPECT_FALSE(
+        parseServiceRequestSet(requestFor(e.build()), {}, set, &err));
+    EXPECT_NE(err.find("cycles"), std::string::npos) << err;
+}
+
+TEST(ServiceProtocol, PaperMaximumAndFullSizeBodiesStayServed)
+{
+    // The generator's giant shape asked for 200 blocks: it fills the
+    // paper's 607-op maximum; with shorter blocks it reaches the
+    // paper's 200 branches.
+    GeneratorParams giant;
+    giant.giantProb = 1.0;
+    giant.giantMinBlocks = giant.giantMaxBlocks = 200;
+    Rng rng(5);
+    Superblock maxOps = generateSuperblock(rng, giant, "paper-max-ops");
+    EXPECT_EQ(maxOps.numOps(), 607);
+    giant.giantOpsPerBlockMu = 0.3;
+    Superblock maxBranches =
+        generateSuperblock(rng, giant, "paper-max-branches");
+    EXPECT_EQ(maxBranches.numBranches(), 200);
+
+    // The most ops the service accepts, at machine latencies and with
+    // every op a float divide, the longest class.
+    GeneratorParams full = giant;
+    full.maxOps = ProtocolLimits{}.maxOps;
+    full.giantOpsPerBlockMu = 3.5;
+    full.floatFraction = 1.0;
+    full.floatDivFraction = 1.0;
+    Superblock fullSize = generateSuperblock(rng, full, "full-size");
+    EXPECT_EQ(fullSize.numOps(), ProtocolLimits{}.maxOps);
+
+    for (const Superblock *sb : {&maxOps, &maxBranches, &fullSize}) {
+        ServiceRequestSet set;
+        std::string err;
+        EXPECT_TRUE(parseServiceRequestSet(requestFor(*sb), {}, set, &err))
+            << sb->name() << ": " << err;
+    }
 }
 
 TEST(ServiceProtocol, BatchErrorsNameTheOffendingIndex)
