@@ -105,15 +105,11 @@ bnbSchedule(const GraphContext &ctx, const MachineModel &machine,
 
     // Context built serially before any worker runs: static per-op
     // issue floors (the toolkit's EarlyRC when lent, else the
-    // dependence-only early times) and the interchangeability
-    // classes for dominance pruning. Workers afterwards read only
-    // eager GraphContext state.
-    std::vector<int> staticEarly =
-        req.toolkit ? req.toolkit->earlyRC() : ctx.earlyDC();
-    std::vector<std::int32_t> equivClass = bnbEquivClasses(sb);
-    int numClasses = 0;
-    for (std::int32_t c : equivClass)
-        numClasses = std::max(numClasses, c + 1);
+    // dependence-only early times), the interchangeability classes
+    // for dominance pruning, and each op's pool and closure branches
+    // for the per-node slot counts. Workers read only this.
+    const BnbContext context(
+        ctx, machine, req.toolkit ? req.toolkit->earlyRC() : ctx.earlyDC());
 
     Incumbent inc;
     auto offerSchedule = [&](const Schedule &s) {
@@ -186,9 +182,7 @@ bnbSchedule(const GraphContext &ctx, const MachineModel &machine,
                 break;
             }
             scratch.arena.reset();
-            BnbSubtreeSearch engine(ctx, machine, staticEarly,
-                                    equivClass, numClasses,
-                                    scratch.arena);
+            BnbSubtreeSearch engine(context, scratch.arena);
             std::vector<BnbPrefix> children;
             BnbSubtreeOutcome o = engine.splitChildren(
                 p, incumbentValue(), remaining, children);
@@ -275,9 +269,7 @@ bnbSchedule(const GraphContext &ctx, const MachineModel &machine,
                             std::memory_order_relaxed));
                     BnbScratch &scratch = threadLocalBnbScratch();
                     scratch.arena.reset();
-                    BnbSubtreeSearch engine(ctx, machine, staticEarly,
-                                            equivClass, numClasses,
-                                            scratch.arena);
+                    BnbSubtreeSearch engine(context, scratch.arena);
                     outcomes[i] =
                         engine.run(frontier[i], snapshot, grant[i]);
                 },

@@ -41,6 +41,14 @@
 namespace balance
 {
 
+/**
+ * Largest superblock, in operations, bnbSchedule() accepts: the
+ * engine's ready-list arena grows with the square of the op count.
+ * Larger inputs are a caller bug (the process aborts); the service
+ * refuses certify requests above it.
+ */
+constexpr int maxBnbOps = 1024;
+
 /** Search limits and parallel shape for bnbSchedule(). */
 struct BnbOptions
 {

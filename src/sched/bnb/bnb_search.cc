@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "sched/bnb/bnb.hh"
 #include "support/diagnostics.hh"
 
 namespace balance
@@ -11,24 +12,14 @@ namespace balance
 namespace
 {
 
-/** Largest superblock the arena sizing accepts (readyBuf is O(n^2)). */
-constexpr int kMaxBnbOps = 1024;
 /** Pools per machine are tiny; fixed local arrays in the odometer. */
 constexpr int kMaxBnbPools = 8;
 /** Pruning tolerance, matching sched/optimal.cc. */
 constexpr double kPruneEps = 1e-12;
 
-} // namespace
-
-BnbScratch &
-threadLocalBnbScratch()
-{
-    thread_local BnbScratch scratch;
-    return scratch;
-}
-
+/** BnbContext::equivClass of @p sb. */
 std::vector<std::int32_t>
-bnbEquivClasses(const Superblock &sb)
+equivClasses(const Superblock &sb)
 {
     int n = sb.numOps();
     std::vector<std::int32_t> cls(std::size_t(n), -1);
@@ -76,21 +67,51 @@ bnbEquivClasses(const Superblock &sb)
     return cls;
 }
 
-BnbSubtreeSearch::BnbSubtreeSearch(const GraphContext &ctx,
-                                   const MachineModel &machine,
-                                   std::span<const int> staticEarly,
-                                   std::span<const std::int32_t> equivClass,
-                                   int numClasses, ScratchArena &scratch)
-    : sb(ctx.sb()), ctx(ctx), machine(machine), staticEarly(staticEarly),
-      equivClass(equivClass), numOps(sb.numOps()),
-      numPools(machine.numResources())
+} // namespace
+
+BnbScratch &
+threadLocalBnbScratch()
 {
-    bsAssert(numOps > 0 && numOps <= kMaxBnbOps,
+    thread_local BnbScratch scratch;
+    return scratch;
+}
+
+BnbContext::BnbContext(const GraphContext &ctx, const MachineModel &machine,
+                       std::vector<int> staticEarly)
+    : sb(ctx.sb()), machine(machine), staticEarly(std::move(staticEarly)),
+      equivClass(equivClasses(sb))
+{
+    int n = sb.numOps();
+    bsAssert(int(this->staticEarly.size()) == n,
+             "bnb: static floors sized wrong");
+    for (std::int32_t c : equivClass)
+        numClasses = std::max(numClasses, c + 1);
+    pool.resize(std::size_t(n));
+    for (OpId v = 0; v < n; ++v)
+        pool[std::size_t(v)] = machine.poolOf(sb.op(v).cls);
+
+    // Which branches' slot counts each op feeds, evaluated once per
+    // call: v is in closure(b) when v <= b and v has a height to b.
+    closureBegin.reserve(std::size_t(n) + 1);
+    for (OpId v = 0; v < n; ++v) {
+        closureBegin.push_back(std::int32_t(closureOf.size()));
+        for (int bi = 0; bi < sb.numBranches(); ++bi) {
+            if (v <= sb.branches()[std::size_t(bi)] &&
+                ctx.heightToBranch(bi)[std::size_t(v)] >= 0)
+                closureOf.push_back(bi);
+        }
+    }
+    closureBegin.push_back(std::int32_t(closureOf.size()));
+}
+
+BnbSubtreeSearch::BnbSubtreeSearch(const BnbContext &context,
+                                   ScratchArena &scratch)
+    : context(context), sb(context.sb), machine(context.machine),
+      numOps(sb.numOps()), numPools(machine.numResources())
+{
+    bsAssert(numOps > 0 && numOps <= maxBnbOps,
              "bnb: superblock size out of range: ", numOps);
     bsAssert(numPools <= kMaxBnbPools, "bnb: too many pools");
-    bsAssert(int(staticEarly.size()) == numOps &&
-                 int(equivClass.size()) == numOps,
-             "bnb: context arrays sized wrong");
 
     long long edges = 0;
     for (OpId v = 0; v < numOps; ++v)
@@ -106,6 +127,8 @@ BnbSubtreeSearch::BnbSubtreeSearch(const GraphContext &ctx,
     readyAt = scratch.alloc<std::int32_t>(n);
     sweep = scratch.alloc<std::int32_t>(n);
     perPool = scratch.alloc<std::int32_t>(std::size_t(numPools));
+    closureLeft = scratch.alloc<std::int32_t>(
+        std::size_t(sb.numBranches()) * std::size_t(numPools));
     frames = scratch.alloc<Frame>(maxFrames);
     readyBuf = scratch.alloc<std::int32_t>(maxFrames * n);
     groupBuf =
@@ -113,8 +136,8 @@ BnbSubtreeSearch::BnbSubtreeSearch(const GraphContext &ctx,
     comboBuf = scratch.alloc<std::int32_t>(maxFrames * maxTake);
     chosenBuf = scratch.alloc<std::int32_t>(maxFrames * maxTake);
     undoBuf = scratch.alloc<Undo>(std::size_t(edges) + 2);
-    classMark =
-        scratch.alloc<std::int64_t>(std::size_t(std::max(numClasses, 1)));
+    classMark = scratch.alloc<std::int64_t>(
+        std::size_t(std::max(context.numClasses, 1)));
     // The arena hands out uninitialized memory; the epoch scheme
     // needs a clean slate once per engine.
     std::fill(classMark.begin(), classMark.end(), std::int64_t(0));
@@ -142,6 +165,11 @@ BnbSubtreeSearch::materialize(const BnbPrefix &prefix)
         }
         predsLeft[std::size_t(v)] = left;
         readyAt[std::size_t(v)] = at;
+    }
+    std::fill(closureLeft.begin(), closureLeft.end(), 0);
+    for (OpId v = 0; v < numOps; ++v) {
+        if (issue[std::size_t(v)] < 0)
+            adjustClosureLeft(v, 1);
     }
     readyTop = 0;
     groupTop = 0;
@@ -201,7 +229,7 @@ BnbSubtreeSearch::pushFrame(int cycle, double wctAtEntry)
         if (issue[std::size_t(v)] < 0 &&
             predsLeft[std::size_t(v)] == 0 &&
             readyAt[std::size_t(v)] <= cycle) {
-            ++off[machine.poolOf(sb.op(v).cls) + 1];
+            ++off[context.pool[std::size_t(v)] + 1];
         }
     }
     off[0] = readyTop;
@@ -213,7 +241,7 @@ BnbSubtreeSearch::pushFrame(int cycle, double wctAtEntry)
         if (issue[std::size_t(v)] < 0 &&
             predsLeft[std::size_t(v)] == 0 &&
             readyAt[std::size_t(v)] <= cycle) {
-            int p = machine.poolOf(sb.op(v).cls);
+            int p = context.pool[std::size_t(v)];
             readyBuf[std::size_t(perPool[std::size_t(p)]++)] = v;
         }
     }
@@ -310,7 +338,7 @@ BnbSubtreeSearch::comboDominated(const Frame &f)
             int ci = 0;
             for (int pos = 0; pos < g; ++pos) {
                 OpId v = readyBuf[std::size_t(off[p] + pos)];
-                std::int32_t c = equivClass[std::size_t(v)];
+                std::int32_t c = context.equivClass[std::size_t(v)];
                 if (ci < t && idx[ci] == pos) {
                     ++ci;
                     // A ready lower-id twin was skipped: swapping it
@@ -354,6 +382,7 @@ BnbSubtreeSearch::applyChoice(Frame &f)
         OpId v = chosenBuf[std::size_t(i)];
         issue[std::size_t(v)] = cycle;
         ++scheduledCount;
+        adjustClosureLeft(v, -1);
         const Operation &op = sb.op(v);
         if (op.isBranch())
             w += sb.exitProb(v) * (cycle + op.latency);
@@ -385,10 +414,23 @@ BnbSubtreeSearch::undoChoice(Frame &f)
         OpId v = chosenBuf[std::size_t(i)];
         issue[std::size_t(v)] = -1;
         --scheduledCount;
+        adjustClosureLeft(v, 1);
         for (const Adjacent &e : sb.succs(v))
             ++predsLeft[std::size_t(e.op)];
     }
     f.applied = 0;
+}
+
+void
+BnbSubtreeSearch::adjustClosureLeft(OpId v, int delta)
+{
+    std::int32_t r = context.pool[std::size_t(v)];
+    for (std::int32_t i = context.closureBegin[std::size_t(v)];
+         i < context.closureBegin[std::size_t(v) + 1]; ++i) {
+        closureLeft[std::size_t(context.closureOf[std::size_t(i)]) *
+                        std::size_t(numPools) +
+                    std::size_t(r)] += delta;
+    }
 }
 
 double
@@ -401,7 +443,7 @@ BnbSubtreeSearch::lowerBound(int cycle, double scheduledWct)
         if (issue[std::size_t(v)] >= 0)
             continue;
         int e = std::max(cycle, readyAt[std::size_t(v)]);
-        e = std::max(e, staticEarly[std::size_t(v)]);
+        e = std::max(e, context.staticEarly[std::size_t(v)]);
         for (const Adjacent &p : sb.preds(v)) {
             if (issue[std::size_t(p.op)] < 0)
                 e = std::max(e, sweep[std::size_t(p.op)] + p.latency);
@@ -417,19 +459,12 @@ BnbSubtreeSearch::lowerBound(int cycle, double scheduledWct)
         int depLb = sweep[std::size_t(b)];
 
         // Slot counting per pool over b's unscheduled closure, as in
-        // sched/optimal.cc.
-        const std::vector<int> &height = ctx.heightToBranch(bi);
-        for (int r = 0; r < numPools; ++r)
-            perPool[std::size_t(r)] = 0;
-        for (OpId v = 0; v <= b; ++v) {
-            if (height[std::size_t(v)] < 0 ||
-                issue[std::size_t(v)] >= 0)
-                continue;
-            ++perPool[std::size_t(machine.poolOf(sb.op(v).cls))];
-        }
+        // sched/optimal.cc, from the counts the search maintains.
+        const std::int32_t *left =
+            &closureLeft[std::size_t(bi) * std::size_t(numPools)];
         int resLb = cycle;
         for (int r = 0; r < numPools; ++r) {
-            int n = perPool[std::size_t(r)];
+            int n = left[r];
             if (n == 0)
                 continue;
             int width = machine.width(r);

@@ -79,16 +79,45 @@ struct BnbScratch
 BnbScratch &threadLocalBnbScratch();
 
 /**
- * Group interchangeable operations: two non-branch operations with
- * the same class and identical successor (op, latency) lists occupy
- * the same equivalence class, and a combination that schedules a
- * member while skipping a ready lower-id member of the same class is
- * dominated (swapping the two yields an equal-WCT schedule the
- * search visits anyway). Branches are never grouped (class -1).
- *
- * @return per-operation class ids, -1 for ungrouped operations.
+ * Read-only context shared by every engine of one bnbSchedule() call,
+ * built serially before any task runs and never written afterwards.
+ * It refers to the superblock and machine, which must outlive it.
  */
-std::vector<std::int32_t> bnbEquivClasses(const Superblock &sb);
+struct BnbContext
+{
+    /**
+     * @param ctx Analysis context; only its eager state is read.
+     * @param machine Resource widths.
+     * @param staticEarly Per-operation issue floors valid in any
+     *        complete schedule (EarlyRC when a toolkit is available,
+     *        else the dependence-only early times).
+     */
+    BnbContext(const GraphContext &ctx, const MachineModel &machine,
+               std::vector<int> staticEarly);
+
+    const Superblock &sb;
+    const MachineModel &machine;
+    std::vector<int> staticEarly;
+    /**
+     * Interchangeable operations: two non-branch operations with the
+     * same class and identical successor (op, latency) lists share a
+     * class, and a combination that schedules a member while skipping
+     * a ready lower-id member of the same class is dominated (swapping
+     * the two yields an equal-WCT schedule the search visits anyway).
+     * Branches are never grouped (class -1).
+     */
+    std::vector<std::int32_t> equivClass;
+    int numClasses = 0; //!< 1 + max class id (0 when none)
+    /** Resource pool of each operation. */
+    std::vector<std::int32_t> pool;
+    /**
+     * Branch indices whose closure holds operation v (v <= b and
+     * heightToBranch(bi)[v] >= 0), ascending, at
+     * closureOf[closureBegin[v] .. closureBegin[v + 1]).
+     */
+    std::vector<std::int32_t> closureBegin;
+    std::vector<std::int32_t> closureOf;
+};
 
 /**
  * The iterative engine. One instance explores subtrees of a single
@@ -100,19 +129,11 @@ class BnbSubtreeSearch
 {
   public:
     /**
-     * @param ctx Analysis context (eager state only is read).
-     * @param machine Resource widths.
-     * @param staticEarly Per-operation issue floors valid in any
-     *        complete schedule (EarlyRC when a toolkit is available,
-     *        else the dependence-only early times).
-     * @param equivClass bnbEquivClasses() for ctx.sb().
-     * @param numClasses 1 + max class id (0 when none).
+     * @param context The call's shared context; must outlive the
+     *        engine.
      * @param scratch The worker's arena; reset before constructing.
      */
-    BnbSubtreeSearch(const GraphContext &ctx, const MachineModel &machine,
-                     std::span<const int> staticEarly,
-                     std::span<const std::int32_t> equivClass,
-                     int numClasses, ScratchArena &scratch);
+    BnbSubtreeSearch(const BnbContext &context, ScratchArena &scratch);
 
     /**
      * Exhaust (or abandon at @p nodeBudget) the subtree under
@@ -158,14 +179,13 @@ class BnbSubtreeSearch
     bool comboDominated(const Frame &f);
     double applyChoice(Frame &f);
     void undoChoice(Frame &f);
+    void adjustClosureLeft(OpId v, int delta);
     double lowerBound(int cycle, double scheduledWct);
     double replayedWct() const;
 
+    const BnbContext &context;
     const Superblock &sb;
-    const GraphContext &ctx;
     const MachineModel &machine;
-    std::span<const int> staticEarly;
-    std::span<const std::int32_t> equivClass;
 
     int numOps;
     int numPools;
@@ -176,6 +196,13 @@ class BnbSubtreeSearch
     std::span<std::int32_t> readyAt;
     std::span<std::int32_t> sweep; //!< lowerBound() dependence sweep
     std::span<std::int32_t> perPool;
+    /**
+     * Unscheduled closure operations per (branch, pool), at
+     * [bi * numPools + r]: set by materialize(), lowered by
+     * applyChoice() and restored by undoChoice(), so lowerBound()
+     * reads a branch's slot demand without scanning its closure.
+     */
+    std::span<std::int32_t> closureLeft;
 
     // Frame stack and its side buffers (offset stacks; each frame
     // records its begin offsets and pop rewinds the tops).

@@ -1,11 +1,11 @@
 #include "service/engine.hh"
 
 #include <chrono>
-#include <limits>
 #include <map>
 
 #include "bounds/bound_scratch.hh"
 #include "eval/experiment.hh"
+#include "sched/bnb/bnb.hh"
 #include "support/diagnostics.hh"
 #include "support/metrics.hh"
 #include "support/parallel_for.hh"
@@ -131,7 +131,10 @@ ScheduleEngine::runWith(EngineWorkerState &state,
     plan.withBest = best || req.certify;
     plan.certify = req.certify;
     plan.bnbMaxNodes = req.bnbMaxNodes;
-    plan.bnbMaxOps = std::numeric_limits<int>::max(); // wire-capped
+    // parseServiceRequestSet refuses larger certify requests, so this
+    // cap never binds on a parsed request; it keeps a direct caller
+    // from reaching the certifier's abort.
+    plan.bnbMaxOps = maxBnbOps;
     plan.bnbThreads = 0;
     plan.scratch = ms.scratch.get();
     plan.schedScratch = &state.schedScratch;

@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "eval/experiment.hh"
+#include "sched/bnb/bnb.hh"
 #include "workload/sb_io.hh"
 
 namespace balance
@@ -86,6 +87,11 @@ parseOneRequest(const JsonValue &obj, const ProtocolLimits &limits,
         if (!c->isBool())
             return fail("'certify' must be a boolean");
         out.certify = c->asBool();
+    }
+    if (out.certify && out.sb.numOps() > maxBnbOps) {
+        return fail("superblock has " + std::to_string(out.sb.numOps()) +
+                    " ops; certify is limited to " +
+                    std::to_string(maxBnbOps) + " ops");
     }
     if (const JsonValue *n = obj.find("bnb_max_nodes")) {
         if (!n->isInt() || n->asInt() <= 0)

@@ -353,6 +353,13 @@ installCrashHandlers()
     if (handlersInstalled.exchange(true, std::memory_order_acq_rel))
         return;
     FlightRecorder::global().enable();
+#ifdef BALANCE_HAVE_BACKTRACE
+    // The first backtrace() loads libgcc's unwinder through the
+    // dynamic loader, which allocates; do it here, so the handler
+    // never calls malloc (backtrace(3), NOTES).
+    void *frame[1];
+    ::backtrace(frame, 1);
+#endif
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));
     sa.sa_handler = crashHandler;

@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "graph/builder.hh"
+#include "sched/bnb/bnb.hh"
 #include "workload/generator.hh"
 #include "workload/paper_figures.hh"
 
@@ -98,6 +100,31 @@ TEST(ScheduleEngine, CertifyRunsBnbAndBoundsTheSchedule)
     if (r.bnbProven) {
         EXPECT_NEAR(r.bnbWct, r.bnbLowerBound, 1e-9);
     }
+}
+
+TEST(ScheduleEngine, CertifyAboveTheCertifierLimitIsSkippedNotFatal)
+{
+    // The parser refuses such requests; a caller that builds one
+    // directly gets its schedule without a certificate instead of the
+    // certifier's abort.
+    const int n = 1100;
+    ASSERT_GT(n, maxBnbOps);
+    SuperblockBuilder b("chain");
+    OpId prev = b.addOp(OpClass::IntAlu);
+    for (int k = 2; k < n; ++k) {
+        OpId v = b.addOp(OpClass::IntAlu);
+        b.addEdge(prev, v);
+        prev = v;
+    }
+    b.addEdge(prev, b.addBranch(1.0));
+    ServiceRequest req = makeRequest(b.build(), "cp");
+    req.machine = "GP2";
+    req.bounds = false;
+    req.certify = true;
+    req.bnbMaxNodes = 1000;
+    ServiceResult r = ScheduleEngine().run(req);
+    EXPECT_FALSE(r.haveBnb);
+    EXPECT_EQ(r.issue.size(), std::size_t(n));
 }
 
 TEST(ScheduleEngine, BatchMatchesSingleRunsBitwise)

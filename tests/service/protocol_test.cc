@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/builder.hh"
+#include "sched/bnb/bnb.hh"
 #include "support/json.hh"
 #include "workload/generator.hh"
 #include "workload/paper_figures.hh"
@@ -245,6 +246,52 @@ TEST(ServiceProtocol, PaperMaximumAndFullSizeBodiesStayServed)
         EXPECT_TRUE(parseServiceRequestSet(requestFor(*sb), {}, set, &err))
             << sb->name() << ": " << err;
     }
+}
+
+/** @p n ops: a chain of n - 1 IntAlu ops into one branch. */
+Superblock
+chainOf(int n)
+{
+    SuperblockBuilder b("chain" + std::to_string(n));
+    OpId prev = b.addOp(OpClass::IntAlu);
+    for (int k = 2; k < n; ++k) {
+        OpId v = b.addOp(OpClass::IntAlu);
+        b.addEdge(prev, v);
+        prev = v;
+    }
+    b.addEdge(prev, b.addBranch(1.0));
+    return b.build();
+}
+
+TEST(ServiceProtocol, RefusesCertifyAboveTheCertifierLimit)
+{
+    // Above maxBnbOps the certifier aborts the process, so the parser
+    // refuses a certify request that large, naming both numbers; the
+    // same body without certify is served.
+    ASSERT_EQ(maxBnbOps, 1024);
+    auto certifyBody = [](const Superblock &sb) {
+        std::string body = requestFor(sb);
+        body.insert(body.size() - 1, ",\"certify\":true");
+        return body;
+    };
+    ServiceRequestSet set;
+    std::string err;
+    EXPECT_FALSE(parseServiceRequestSet(certifyBody(chainOf(1025)), {},
+                                        set, &err));
+    EXPECT_NE(err.find("1025 ops"), std::string::npos) << err;
+    EXPECT_NE(err.find("limited to 1024"), std::string::npos) << err;
+    EXPECT_FALSE(parseServiceRequestSet(certifyBody(chainOf(1100)), {},
+                                        set, &err));
+
+    ASSERT_TRUE(parseServiceRequestSet(certifyBody(chainOf(1024)), {},
+                                       set, &err))
+        << err;
+    EXPECT_TRUE(set.requests[0].certify);
+    ASSERT_TRUE(
+        parseServiceRequestSet(requestFor(chainOf(1100)), {}, set, &err))
+        << err;
+    EXPECT_EQ(set.requests[0].sb.numOps(), 1100);
+    EXPECT_FALSE(set.requests[0].certify);
 }
 
 TEST(ServiceProtocol, BatchErrorsNameTheOffendingIndex)
