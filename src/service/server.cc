@@ -1,18 +1,8 @@
 #include "service/server.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <cstdio>
+#include <cstdint>
 #include <cstring>
-#include <thread>
 
-#include "support/http.hh"
 #include "support/metrics.hh"
 #include "support/prometheus.hh"
 
@@ -24,47 +14,11 @@ namespace
 
 constexpr char frameMagic[4] = {'S', 'B', 'P', '1'};
 
-/** writeHttpResponse plus one extra header line. */
-void
-writeResponseWithCacheHeader(int fd, int status,
-                             const std::string &contentType,
-                             const std::string &body,
-                             const std::string &cacheState)
+/** A JSON error answer worded by @p reason. */
+HttpResponse
+serviceError(int status, const char *reason)
 {
-    std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
-                       httpStatusText(status) + "\r\n";
-    head += "Content-Type: " + contentType + "\r\n";
-    head += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-    if (!cacheState.empty())
-        head += "X-Balance-Cache: " + cacheState + "\r\n";
-    head += "Connection: close\r\n\r\n";
-    if (writeAllFd(fd, head.data(), head.size()))
-        writeAllFd(fd, body.data(), body.size());
-}
-
-/** Read exactly @p len bytes under one fresh deadline. */
-bool
-readExact(int fd, char *buf, std::size_t len, int timeoutMs)
-{
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(timeoutMs);
-    std::size_t done = 0;
-    while (done < len) {
-        int left = timeoutMs <= 0
-                       ? 0
-                       : int(std::chrono::duration_cast<
-                                 std::chrono::milliseconds>(
-                                 deadline -
-                                 std::chrono::steady_clock::now())
-                                 .count());
-        if (timeoutMs > 0 && left <= 0)
-            return false;
-        ssize_t n = recvWithDeadline(fd, buf + done, len - done, left);
-        if (n <= 0)
-            return false;
-        done += std::size_t(n);
-    }
-    return true;
+    return {status, "application/json", renderServiceError(reason), {}};
 }
 
 /** Send one SBP1 frame. */
@@ -84,63 +38,12 @@ writeFrame(int fd, const std::string &payload)
 
 } // namespace
 
-ServiceServer::~ServiceServer() { stop(); }
-
 bool
 ServiceServer::start(const ServiceServerOptions &opts)
 {
-    if (running.load(std::memory_order_acquire))
+    if (server.active())
         return false;
-
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        std::fprintf(stderr, "balance-service: socket failed: %s\n",
-                     std::strerror(errno));
-        return false;
-    }
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(opts.port));
-    if (::inet_pton(AF_INET, opts.bindAddress.c_str(), &addr.sin_addr) !=
-        1) {
-        std::fprintf(stderr, "balance-service: bad bind address '%s'\n",
-                     opts.bindAddress.c_str());
-        ::close(fd);
-        return false;
-    }
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) <
-        0) {
-        std::fprintf(stderr,
-                     "balance-service: bind to %s:%d failed: %s\n",
-                     opts.bindAddress.c_str(), opts.port,
-                     std::strerror(errno));
-        ::close(fd);
-        return false;
-    }
-    if (::listen(fd, 128) < 0) {
-        std::fprintf(stderr, "balance-service: listen failed: %s\n",
-                     std::strerror(errno));
-        ::close(fd);
-        return false;
-    }
-
-    sockaddr_in bound{};
-    socklen_t boundLen = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&bound),
-                      &boundLen) < 0) {
-        std::fprintf(stderr,
-                     "balance-service: getsockname failed: %s\n",
-                     std::strerror(errno));
-        ::close(fd);
-        return false;
-    }
-
     options = opts;
-    if (options.maxQueue <= 0)
-        options.maxQueue = 1;
     if (options.maxInflight <= 0)
         options.maxInflight = 1;
     EngineOptions engineOpts;
@@ -148,186 +51,61 @@ ServiceServer::start(const ServiceServerOptions &opts)
     engineOpts.threads = options.threads;
     scheduleEngine = std::make_unique<ScheduleEngine>(engineOpts);
 
-    listenFd = fd;
-    boundPort = int(ntohs(bound.sin_port));
-    boundAddress =
-        "http://" + opts.bindAddress + ":" + std::to_string(boundPort);
-    stopping.store(false, std::memory_order_release);
-    running.store(true, std::memory_order_release);
-
-    acceptor = std::thread([this] { acceptLoop(); });
-    int nHandlers = options.handlerThreads > 0 ? options.handlerThreads
-                                               : 1;
-    handlers.reserve(std::size_t(nHandlers));
-    for (int i = 0; i < nHandlers; ++i)
-        handlers.emplace_back([this] { handlerLoop(); });
-
-    std::printf("balance-service: listening on %s\n",
-                boundAddress.c_str());
-    std::fflush(stdout);
-    return true;
-}
-
-void
-ServiceServer::stop()
-{
-    if (!running.exchange(false, std::memory_order_acq_rel))
-        return;
-    {
-        // Store under the queue mutex: a handler that has checked the
-        // wait predicate but not yet blocked would otherwise miss the
-        // notification forever.
-        std::lock_guard<std::mutex> lock(queueMutex);
-        stopping.store(true, std::memory_order_release);
-    }
-    queueCv.notify_all();
-    if (acceptor.joinable())
-        acceptor.join();
-    for (std::thread &t : handlers) {
-        if (t.joinable())
-            t.join();
-    }
-    handlers.clear();
-    {
-        std::lock_guard<std::mutex> lock(queueMutex);
-        for (int fd : pending)
-            ::close(fd);
-        pending.clear();
-    }
-    if (listenFd >= 0) {
-        ::close(listenFd);
-        listenFd = -1;
-    }
-}
-
-void
-ServiceServer::acceptLoop()
-{
-    while (!stopping.load(std::memory_order_acquire)) {
-        pollfd pfd{};
-        pfd.fd = listenFd;
-        pfd.events = POLLIN;
-        int rc = ::poll(&pfd, 1, 100);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (rc == 0 || !(pfd.revents & POLLIN))
-            continue;
-        int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        bool shed = false;
-        {
-            std::lock_guard<std::mutex> lock(queueMutex);
-            if (int(pending.size()) >= options.maxQueue)
-                shed = true;
-            else
-                pending.push_back(fd);
-        }
-        if (shed) {
+    return server.start(
+        "balance-service", options,
+        [this](int fd, Deadline deadline) {
+            serveConnection(fd, deadline);
+        },
+        [this] {
             shed503.fetch_add(1, std::memory_order_relaxed);
-            MetricRegistry::global()
-                .counter("service.shed_503")
-                .add(1);
-            writeHttpResponse(fd, 503, "application/json",
-                              renderServiceError(
-                                  "overloaded: connection queue full"));
-            ::close(fd);
-        } else {
-            queueCv.notify_one();
-        }
-    }
+            MetricRegistry::global().counter("service.shed_503").add(1);
+            return serviceError(503, "overloaded: connection queue full");
+        });
 }
 
 void
-ServiceServer::handlerLoop()
+ServiceServer::serveConnection(int fd, Deadline deadline)
 {
-    for (;;) {
-        int fd = -1;
-        {
-            std::unique_lock<std::mutex> lock(queueMutex);
-            queueCv.wait(lock, [this] {
-                return stopping.load(std::memory_order_acquire) ||
-                       !pending.empty();
-            });
-            if (stopping.load(std::memory_order_acquire))
-                return;
-            fd = pending.front();
-            pending.pop_front();
-        }
-        serveConnection(fd);
-        ::close(fd);
-    }
-}
-
-void
-ServiceServer::serveConnection(int fd)
-{
-    // Sniff the protocol: frame clients open with the literal
-    // "SBP1"; anything else is HTTP. MSG_PEEK leaves the bytes for
-    // the real reader.
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(options.recvTimeoutMs);
-    char peek[4];
+    // Sniff the protocol: frame clients open with the literal "SBP1";
+    // anything else is HTTP. Read no further than the first byte that
+    // leaves the magic; the HTTP reader starts from the bytes read, and
+    // a deadline, close or error met here is its to report.
+    char magic[4] = {};
     std::size_t got = 0;
-    while (got < sizeof(peek)) {
-        int left =
-            options.recvTimeoutMs <= 0
-                ? 0
-                : int(std::chrono::duration_cast<
-                          std::chrono::milliseconds>(
-                          deadline - std::chrono::steady_clock::now())
-                          .count());
-        if (options.recvTimeoutMs > 0 && left <= 0)
-            break;
-        pollfd pfd{};
-        pfd.fd = fd;
-        pfd.events = POLLIN;
-        int rc = ::poll(&pfd, 1, options.recvTimeoutMs <= 0 ? -1 : left);
-        if (rc < 0 && errno == EINTR)
-            continue;
-        if (rc <= 0)
-            break;
-        ssize_t n = ::recv(fd, peek, sizeof(peek), MSG_PEEK);
-        if (n < 0 && errno == EINTR)
-            continue;
+    while (got < sizeof(magic) && std::memcmp(magic, frameMagic, got) == 0) {
+        ssize_t n = recvUntil(fd, magic + got, sizeof(magic) - got, deadline);
         if (n <= 0)
             break;
-        std::size_t had = got;
-        got = std::size_t(n);
-        // A prefix that already diverges from the magic is HTTP; no
-        // need to wait for a fourth byte.
-        if (std::memcmp(peek, frameMagic, got) != 0)
-            break;
-        // poll() stays readable while the peeked bytes sit in the
-        // queue; back off briefly so a slow magic-prefix sender
-        // cannot spin this thread until the deadline.
-        if (got < sizeof(peek) && got == had)
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        got += std::size_t(n);
     }
-    if (got >= sizeof(peek) &&
-        std::memcmp(peek, frameMagic, sizeof(peek)) == 0) {
-        serveFrames(fd);
+    if (got == sizeof(magic) && std::memcmp(magic, frameMagic, got) == 0) {
+        serveFrames(fd, deadline);
         return;
     }
-    serveHttp(fd);
+    serveHttpRequest(
+        fd, deadline, options.maxBodyBytes,
+        [this](const HttpRequest &req) { return route(req); },
+        [this](int status, const char *reason) {
+            if (status != 408)
+                badRequests.fetch_add(1, std::memory_order_relaxed);
+            return serviceError(status, reason);
+        },
+        std::string(magic, got));
 }
 
 void
-ServiceServer::serveFrames(int fd)
+ServiceServer::serveFrames(int fd, Deadline deadline)
 {
-    // Any number of frames back to back; each frame gets a fresh
-    // receive deadline. Exit on clean close at a frame boundary.
+    // Any number of frames back to back. The sniff read the first
+    // frame's magic, and the rest of that frame shares the connection's
+    // deadline. Each later frame waits for its first byte under a
+    // deadline of its own and reads the rest under one more. Exit on a
+    // clean close at a frame boundary.
+    char header[8] = {};
+    std::memcpy(header, frameMagic, 4);
+    std::size_t have = 4;
     for (;;) {
-        char header[8];
-        ssize_t first = recvWithDeadline(fd, header, 1,
-                                         options.recvTimeoutMs);
-        if (first <= 0)
-            return; // clean close, timeout, or error between frames
-        if (!readExact(fd, header + 1, sizeof(header) - 1,
-                       options.recvTimeoutMs))
+        if (!recvExact(fd, header + have, sizeof(header) - have, deadline))
             return;
         if (std::memcmp(header, frameMagic, 4) != 0) {
             writeFrame(fd, renderServiceError("bad frame magic"));
@@ -345,85 +123,44 @@ ServiceServer::serveFrames(int fd)
             return;
         }
         std::string body(len, '\0');
-        if (!readExact(fd, body.data(), len, options.recvTimeoutMs))
+        if (!recvExact(fd, body.data(), len, deadline))
             return;
         std::string cacheState;
-        auto [status, response] = handleSchedule(body, cacheState);
-        (void)status; // frame responses carry the JSON either way
-        writeFrame(fd, response);
+        // Frame responses carry the JSON whatever the status.
+        writeFrame(fd, handleSchedule(body, cacheState).second);
+
+        if (recvUntil(fd, header, 1,
+                      deadlineAfter(options.recvTimeoutMs)) <= 0)
+            return; // clean close, timeout, or error between frames
+        deadline = deadlineAfter(options.recvTimeoutMs);
+        have = 1;
     }
 }
 
-void
-ServiceServer::serveHttp(int fd)
+HttpResponse
+ServiceServer::route(const HttpRequest &req)
 {
-    HttpLimits limits;
-    limits.recvTimeoutMs = options.recvTimeoutMs;
-    limits.maxBodyBytes = options.maxBodyBytes;
-    HttpRequest req;
-    switch (readHttpRequest(fd, req, limits)) {
-      case HttpReadResult::Ok:
-        break;
-      case HttpReadResult::Closed:
-        return;
-      case HttpReadResult::Timeout:
-        writeHttpResponse(fd, 408, "application/json",
-                          renderServiceError("request timeout"));
-        return;
-      case HttpReadResult::TooLarge:
-        badRequests.fetch_add(1, std::memory_order_relaxed);
-        writeHttpResponse(fd, 413, "application/json",
-                          renderServiceError("request too large"));
-        return;
-      case HttpReadResult::Malformed:
-        badRequests.fetch_add(1, std::memory_order_relaxed);
-        writeHttpResponse(fd, 400, "application/json",
-                          renderServiceError("bad request"));
-        return;
-    }
-
-    std::string target = req.target;
-    std::size_t q = target.find('?');
-    if (q != std::string::npos)
-        target.resize(q);
-
+    const std::string &path = req.target;
     if (req.method == "GET" || req.method == "HEAD") {
-        if (target == "/healthz") {
-            writeHttpResponse(fd, 200, "text/plain; charset=utf-8",
-                              "ok\n", req.method == "HEAD");
-            return;
+        if (path == "/healthz")
+            return {200, "text/plain; charset=utf-8", "ok\n", {}};
+        if (path == "/stats")
+            return {200, "application/json", statsJson(), {}};
+        if (path == "/metrics") {
+            return {200, "text/plain; version=0.0.4; charset=utf-8",
+                    renderPrometheusText(MetricRegistry::global()), {}};
         }
-        if (target == "/stats") {
-            writeHttpResponse(fd, 200, "application/json", statsJson(),
-                              req.method == "HEAD");
-            return;
-        }
-        if (target == "/metrics") {
-            writeHttpResponse(
-                fd, 200, "text/plain; version=0.0.4; charset=utf-8",
-                renderPrometheusText(MetricRegistry::global()),
-                req.method == "HEAD");
-            return;
-        }
-        writeHttpResponse(fd, 404, "application/json",
-                          renderServiceError("not found"),
-                          req.method == "HEAD");
-        return;
+        return serviceError(404, "not found");
     }
-    if (req.method == "POST") {
-        if (target != "/schedule" && target != "/batch") {
-            writeHttpResponse(fd, 404, "application/json",
-                              renderServiceError("not found"));
-            return;
-        }
-        std::string cacheState;
-        auto [status, response] = handleSchedule(req.body, cacheState);
-        writeResponseWithCacheHeader(fd, status, "application/json",
-                                     response, cacheState);
-        return;
-    }
-    writeHttpResponse(fd, 405, "application/json",
-                      renderServiceError("method not allowed"));
+    if (req.method != "POST")
+        return serviceError(405, "method not allowed");
+    if (path != "/schedule" && path != "/batch")
+        return serviceError(404, "not found");
+    std::string cacheState;
+    auto [status, body] = handleSchedule(req.body, cacheState);
+    return {status, "application/json", std::move(body),
+            cacheState.empty() ? ""
+                               : "X-Balance-Cache: " + cacheState + "\r\n"};
 }
 
 std::pair<int, std::string>

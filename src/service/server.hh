@@ -1,7 +1,7 @@
 /**
  * @file
- * Front door of the scheduling service (docs/SERVICE.md): a
- * dependency-free TCP listener that speaks two protocols on one
+ * Front door of the scheduling service (docs/SERVICE.md): the shared
+ * listener core (support/http.hh) speaking two protocols on one
  * port, dispatching requests to a shared ScheduleEngine:
  *
  *  - HTTP/1.1:  POST /schedule with a JSON body (single request or
@@ -11,14 +11,14 @@
  *    payload as POST /schedule. Responses use identical framing, and
  *    one connection can carry any number of frames back to back.
  *
- * Backpressure has two stages, mirroring DebugServer's handler pool:
- * the acceptor sheds connections with 503 once the bounded pending
- * queue is full, and scheduling endpoints shed with 429 once
- * maxInflight request bodies are being evaluated (health/stats
- * stay served under full load, so operators can still see in).
- * Every connection read runs under the shared poll() deadline from
- * support/http.hh — a stalled client costs a handler thread at most
- * recvTimeoutMs.
+ * Backpressure has two stages: the core sheds connections with 503
+ * once its bounded pending queue is full, and scheduling endpoints
+ * shed with 429 once maxInflight request bodies are being evaluated
+ * (health/stats stay served under full load, so operators can still
+ * see in). Every read on a connection, the protocol sniff included,
+ * runs under the one deadline the core sets when a handler adopts it
+ * — a stalled client costs a handler thread at most recvTimeoutMs.
+ * A frame connection gives each later frame a deadline of its own.
  *
  * The cache disposition of a scheduling response ("hit", "miss", or
  * "partial" for mixed batches) travels in the X-Balance-Cache header,
@@ -30,35 +30,23 @@
 #define BALANCE_SERVICE_SERVER_HH
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
+#include <utility>
 
 #include "service/engine.hh"
 #include "service/protocol.hh"
+#include "support/http.hh"
 
 namespace balance
 {
 
-/** ServiceServer configuration. */
-struct ServiceServerOptions
+/** ServiceServer configuration: the listener's settings plus the
+ *  service's own. */
+struct ServiceServerOptions : HttpServerOptions
 {
-    /** TCP port to bind; 0 picks an ephemeral port. */
-    int port = 0;
-    /** Bind address (loopback by default). */
-    std::string bindAddress = "127.0.0.1";
-    /** Handler pool size (connections served concurrently). */
-    int handlerThreads = 4;
-    /** Max accepted-but-unserved connections before 503-shedding. */
-    int maxQueue = 64;
     /** Max request bodies under evaluation before 429-shedding. */
     int maxInflight = 8;
-    /** Per-connection receive deadline (support/http.hh). */
-    int recvTimeoutMs = 5000;
     /** Max request body bytes (HTTP and frame payloads). */
     std::size_t maxBodyBytes = 1 << 20;
     /** Request parse limits (batch size, op count, B&B node cap). */
@@ -74,29 +62,27 @@ class ServiceServer
 {
   public:
     ServiceServer() = default;
-    ~ServiceServer();
-
     ServiceServer(const ServiceServer &) = delete;
     ServiceServer &operator=(const ServiceServer &) = delete;
 
     /**
-     * Bind, listen, and start the acceptor + handler threads.
+     * Bind, listen, and start serving.
      * @return true on success; on failure logs to stderr and leaves
      *         the server inactive.
      */
     bool start(const ServiceServerOptions &opts);
 
     /** Stop all threads and close the socket. Idempotent. */
-    void stop();
+    void stop() { server.stop(); }
 
     /** @return true between a successful start() and stop(). */
-    bool active() const { return running.load(std::memory_order_acquire); }
+    bool active() const { return server.active(); }
 
     /** @return the bound port (valid while active). */
-    int port() const { return boundPort; }
+    int port() const { return server.port(); }
 
     /** @return "http://<addr>:<port>" (valid while active). */
-    const std::string &address() const { return boundAddress; }
+    const std::string &address() const { return server.address(); }
 
     /** @return the engine (cache stats; valid while active). */
     const ScheduleEngine &engine() const { return *scheduleEngine; }
@@ -105,11 +91,9 @@ class ServiceServer
     std::string statsJson() const;
 
   private:
-    void acceptLoop();
-    void handlerLoop();
-    void serveConnection(int fd);
-    void serveHttp(int fd);
-    void serveFrames(int fd);
+    void serveConnection(int fd, Deadline deadline);
+    void serveFrames(int fd, Deadline deadline);
+    HttpResponse route(const HttpRequest &req);
 
     /**
      * Parse + execute one scheduling payload.
@@ -121,21 +105,14 @@ class ServiceServer
 
     ServiceServerOptions options;
     std::unique_ptr<ScheduleEngine> scheduleEngine;
-    std::atomic<bool> running{false};
-    std::atomic<bool> stopping{false};
     std::atomic<int> inflight{0};
     std::atomic<long long> served{0};
     std::atomic<long long> shed429{0};
     std::atomic<long long> shed503{0};
     std::atomic<long long> badRequests{0};
-    int listenFd = -1;
-    int boundPort = 0;
-    std::string boundAddress;
-    std::thread acceptor;
-    std::vector<std::thread> handlers;
-    std::mutex queueMutex;
-    std::condition_variable queueCv;
-    std::deque<int> pending;
+    /** Last member: destroyed first, so its handler threads are
+     *  joined before the counters and the engine go. */
+    HttpServer server;
 };
 
 } // namespace balance

@@ -1,17 +1,5 @@
 #include "support/debug_server.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-
-#include "support/http.hh"
 #include "support/metrics.hh"
 #include "support/perf_counters.hh"
 #include "support/progress.hh"
@@ -21,7 +9,18 @@
 namespace balance
 {
 
-DebugServer::~DebugServer() { stop(); }
+namespace
+{
+
+/** A plain-text answer that is just @p reason. */
+HttpResponse
+textReply(int status, const char *reason)
+{
+    return {status, "text/plain; charset=utf-8", std::string(reason) + "\n",
+            {}};
+}
+
+} // namespace
 
 std::string
 DebugServer::handlePath(const std::string &path, int &status,
@@ -54,207 +53,25 @@ DebugServer::handlePath(const std::string &path, int &status,
 bool
 DebugServer::start(const DebugServerOptions &opts)
 {
-    if (running.load(std::memory_order_acquire))
+    // Scraper GETs only: no request body is accepted.
+    auto serve = [](int fd, Deadline deadline) {
+        serveHttpRequest(
+            fd, deadline, 0,
+            [](const HttpRequest &req) {
+                if (req.method != "GET" && req.method != "HEAD")
+                    return textReply(405, "method not allowed");
+                HttpResponse r;
+                r.body = handlePath(req.target, r.status, r.contentType);
+                return r;
+            },
+            textReply);
+    };
+    if (!server.start("debug-server", opts, serve,
+                      [] { return textReply(503, "overloaded"); }))
         return false;
-
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        std::fprintf(stderr, "debug-server: socket failed: %s\n",
-                     std::strerror(errno));
-        return false;
-    }
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(opts.port));
-    if (::inet_pton(AF_INET, opts.bindAddress.c_str(), &addr.sin_addr) !=
-        1) {
-        std::fprintf(stderr, "debug-server: bad bind address '%s'\n",
-                     opts.bindAddress.c_str());
-        ::close(fd);
-        return false;
-    }
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) <
-        0) {
-        std::fprintf(stderr, "debug-server: bind to %s:%d failed: %s\n",
-                     opts.bindAddress.c_str(), opts.port,
-                     std::strerror(errno));
-        ::close(fd);
-        return false;
-    }
-    if (::listen(fd, 64) < 0) {
-        std::fprintf(stderr, "debug-server: listen failed: %s\n",
-                     std::strerror(errno));
-        ::close(fd);
-        return false;
-    }
-
-    sockaddr_in bound{};
-    socklen_t boundLen = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&bound),
-                      &boundLen) < 0) {
-        std::fprintf(stderr, "debug-server: getsockname failed: %s\n",
-                     std::strerror(errno));
-        ::close(fd);
-        return false;
-    }
-
-    listenFd = fd;
-    boundPort = int(ntohs(bound.sin_port));
-    boundAddress =
-        "http://" + opts.bindAddress + ":" + std::to_string(boundPort);
-    maxQueue = opts.maxQueue > 0 ? opts.maxQueue : 1;
-    recvTimeoutMs = opts.recvTimeoutMs;
-    stopping.store(false, std::memory_order_release);
-    running.store(true, std::memory_order_release);
-
     // /progress is only useful with the tracker publishing.
     ProgressTracker::global().enable();
-
-    acceptor = std::thread([this] { acceptLoop(); });
-    int nHandlers = opts.handlerThreads > 0 ? opts.handlerThreads : 1;
-    handlers.reserve(std::size_t(nHandlers));
-    for (int i = 0; i < nHandlers; ++i)
-        handlers.emplace_back([this] { handlerLoop(); });
-
-    std::printf("debug-server: listening on %s\n", boundAddress.c_str());
-    std::fflush(stdout);
     return true;
-}
-
-void
-DebugServer::stop()
-{
-    if (!running.exchange(false, std::memory_order_acq_rel))
-        return;
-    {
-        // The store must happen under the queue mutex: a handler
-        // that has checked the wait predicate but not yet blocked
-        // would otherwise miss this notification forever.
-        std::lock_guard<std::mutex> lock(queueMutex);
-        stopping.store(true, std::memory_order_release);
-    }
-    queueCv.notify_all();
-    if (acceptor.joinable())
-        acceptor.join();
-    for (std::thread &t : handlers) {
-        if (t.joinable())
-            t.join();
-    }
-    handlers.clear();
-    {
-        std::lock_guard<std::mutex> lock(queueMutex);
-        for (int fd : pending)
-            ::close(fd);
-        pending.clear();
-    }
-    if (listenFd >= 0) {
-        ::close(listenFd);
-        listenFd = -1;
-    }
-}
-
-void
-DebugServer::acceptLoop()
-{
-    while (!stopping.load(std::memory_order_acquire)) {
-        pollfd pfd{};
-        pfd.fd = listenFd;
-        pfd.events = POLLIN;
-        int rc = ::poll(&pfd, 1, 100);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (rc == 0 || !(pfd.revents & POLLIN))
-            continue;
-        int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        bool shed = false;
-        {
-            std::lock_guard<std::mutex> lock(queueMutex);
-            if (int(pending.size()) >= maxQueue)
-                shed = true;
-            else
-                pending.push_back(fd);
-        }
-        if (shed) {
-            writeHttpResponse(fd, 503, "text/plain; charset=utf-8",
-                              "overloaded\n");
-            ::close(fd);
-        } else {
-            queueCv.notify_one();
-        }
-    }
-}
-
-void
-DebugServer::handlerLoop()
-{
-    for (;;) {
-        int fd = -1;
-        {
-            std::unique_lock<std::mutex> lock(queueMutex);
-            queueCv.wait(lock, [this] {
-                return stopping.load(std::memory_order_acquire) ||
-                       !pending.empty();
-            });
-            if (stopping.load(std::memory_order_acquire))
-                return;
-            fd = pending.front();
-            pending.pop_front();
-        }
-        serveConnection(fd);
-        ::close(fd);
-    }
-}
-
-void
-DebugServer::serveConnection(int fd)
-{
-    // Scraper GETs only: no body, tiny head, and a hard deadline so
-    // a stalled client frees its handler thread after recvTimeoutMs.
-    HttpLimits limits;
-    limits.recvTimeoutMs = recvTimeoutMs;
-    limits.maxBodyBytes = 0;
-    HttpRequest req;
-    switch (readHttpRequest(fd, req, limits)) {
-      case HttpReadResult::Ok:
-        break;
-      case HttpReadResult::Closed:
-        return;
-      case HttpReadResult::Timeout:
-        writeHttpResponse(fd, 408, "text/plain; charset=utf-8",
-                          "request timeout\n");
-        return;
-      case HttpReadResult::TooLarge:
-        writeHttpResponse(fd, 413, "text/plain; charset=utf-8",
-                          "request too large\n");
-        return;
-      case HttpReadResult::Malformed:
-        writeHttpResponse(fd, 400, "text/plain; charset=utf-8",
-                          "bad request\n");
-        return;
-    }
-    if (req.method != "GET" && req.method != "HEAD") {
-        writeHttpResponse(fd, 405, "text/plain; charset=utf-8",
-                          "method not allowed\n");
-        return;
-    }
-    std::string target = req.target;
-    std::size_t q = target.find('?');
-    if (q != std::string::npos)
-        target.resize(q);
-
-    int status = 0;
-    std::string contentType;
-    std::string body = handlePath(target, status, contentType);
-    writeHttpResponse(fd, status, contentType, body,
-                      req.method == "HEAD");
 }
 
 } // namespace balance

@@ -1,9 +1,9 @@
 /**
  * @file
  * In-process diagnostics HTTP server (docs/OBSERVABILITY.md, "Live
- * introspection"). A dependency-free HTTP/1.1 listener — own acceptor
- * thread plus a small bounded handler pool — that serves read-only
- * snapshots of the process's telemetry while a run is in flight:
+ * introspection"): a route table on the shared listener core
+ * (support/http.hh) that serves read-only snapshots of the process's
+ * telemetry while a run is in flight:
  *
  *   GET /healthz     -> "ok\n" (liveness)
  *   GET /metrics     -> MetricRegistry::global() in Prometheus text
@@ -28,49 +28,22 @@
 #ifndef BALANCE_SUPPORT_DEBUG_SERVER_HH
 #define BALANCE_SUPPORT_DEBUG_SERVER_HH
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
+
+#include "support/http.hh"
 
 namespace balance
 {
 
-/** DebugServer configuration. */
-struct DebugServerOptions
-{
-    /** TCP port to bind; 0 picks an ephemeral port. */
-    int port = 0;
-    /** Bind address (loopback by default — diagnostics, not public). */
-    std::string bindAddress = "127.0.0.1";
-    /** Handler pool size. */
-    int handlerThreads = 4;
-    /** Max accepted-but-unserved connections before 503-shedding. */
-    int maxQueue = 64;
-    /**
-     * Per-connection receive deadline (support/http.hh). A client
-     * that connects and stalls gets a 408 after this long instead of
-     * pinning a handler thread forever. <= 0 disables the deadline
-     * (tests only).
-     */
-    int recvTimeoutMs = 5000;
-};
+/** DebugServer configuration: the listener's own settings. */
+using DebugServerOptions = HttpServerOptions;
 
 /** The diagnostics server (see file comment). */
 class DebugServer
 {
   public:
-    DebugServer() = default;
-    ~DebugServer();
-
-    DebugServer(const DebugServer &) = delete;
-    DebugServer &operator=(const DebugServer &) = delete;
-
     /**
-     * Bind, listen, and start the acceptor + handler threads.
+     * Bind, listen, and start serving the diagnostics routes.
      * Enables ProgressTracker::global() so /progress has data.
      * @return true on success; on failure logs to stderr and leaves
      *         the server inactive.
@@ -78,16 +51,16 @@ class DebugServer
     bool start(const DebugServerOptions &opts);
 
     /** Stop all threads and close the socket. Idempotent. */
-    void stop();
+    void stop() { server.stop(); }
 
     /** @return true between a successful start() and stop(). */
-    bool active() const { return running.load(std::memory_order_acquire); }
+    bool active() const { return server.active(); }
 
     /** @return the bound port (valid while active). */
-    int port() const { return boundPort; }
+    int port() const { return server.port(); }
 
     /** @return "http://<addr>:<port>" (valid while active). */
-    const std::string &address() const { return boundAddress; }
+    const std::string &address() const { return server.address(); }
 
     /**
      * Dispatch one request path to its endpoint. Exposed for tests;
@@ -99,22 +72,7 @@ class DebugServer
                                   std::string &contentType);
 
   private:
-    void acceptLoop();
-    void handlerLoop();
-    void serveConnection(int fd);
-
-    std::atomic<bool> running{false};
-    std::atomic<bool> stopping{false};
-    int listenFd = -1;
-    int boundPort = 0;
-    std::string boundAddress;
-    std::thread acceptor;
-    std::vector<std::thread> handlers;
-    std::mutex queueMutex;
-    std::condition_variable queueCv;
-    std::deque<int> pending;
-    int maxQueue = 64;
-    int recvTimeoutMs = 5000;
+    HttpServer server;
 };
 
 } // namespace balance

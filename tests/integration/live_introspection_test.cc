@@ -10,9 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -26,6 +23,7 @@
 
 #include "eval/experiment.hh"
 #include "graph/analysis.hh"
+#include "loopback_http.hh"
 #include "sched/bnb/bnb.hh"
 #include "support/debug_server.hh"
 #include "support/json.hh"
@@ -49,34 +47,6 @@ struct IntrospectionGuard
         ProgressTracker::global().disable();
     }
 };
-
-/** One blocking HTTP GET against 127.0.0.1:@p port. */
-std::string
-httpGet(int port, const std::string &path)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return "";
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) < 0) {
-        ::close(fd);
-        return "";
-    }
-    std::string req = "GET " + path + " HTTP/1.1\r\n"
-                      "Connection: close\r\n\r\n";
-    ::send(fd, req.data(), req.size(), 0);
-    std::string resp;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        resp.append(buf, std::size_t(n));
-    ::close(fd);
-    return resp;
-}
 
 /** Per-superblock results, suite order. */
 struct Captured

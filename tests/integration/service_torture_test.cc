@@ -2,23 +2,21 @@
  * Torture tests for the scheduling service (service/server.hh): the
  * full socket stack under concurrent clients, hostile inputs
  * (oversized, truncated, malformed bodies and frames), both wire
- * protocols on one port, admission-control shedding, and the
+ * protocols on one port, admission-control shedding, the one receive
+ * deadline per connection, HEAD, the /stats counters, and the
  * bitwise-determinism contract across the cache and thread knobs.
  */
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "loopback_http.hh"
 #include "service/server.hh"
 #include "support/json.hh"
 #include "workload/generator.hh"
@@ -29,49 +27,6 @@ namespace balance
 {
 namespace
 {
-
-int
-connectTo(int port)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) < 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-std::string
-readAll(int fd)
-{
-    std::string resp;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        resp.append(buf, std::size_t(n));
-    return resp;
-}
-
-/** One raw exchange: send @p wire, read to close. */
-std::string
-rawExchange(int port, const std::string &wire)
-{
-    int fd = connectTo(port);
-    if (fd < 0)
-        return "";
-    if (!wire.empty())
-        ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
-    std::string resp = readAll(fd);
-    ::close(fd);
-    return resp;
-}
 
 struct Reply
 {
@@ -113,6 +68,16 @@ get(int port, const std::string &target)
 {
     return parseReply(rawExchange(
         port, "GET " + target + " HTTP/1.1\r\nHost: x\r\n\r\n"));
+}
+
+/** @return the integer after "name": in @p json, or -1. */
+long long
+jsonInt(const std::string &json, const std::string &name)
+{
+    std::size_t at = json.find("\"" + name + "\":");
+    return at == std::string::npos
+               ? -1
+               : std::atoll(json.c_str() + at + name.size() + 3);
 }
 
 std::string
@@ -313,7 +278,7 @@ TEST(ServiceTorture, FrameProtocolServesBatchesAndRejectsGarbage)
     Reply viaHttp = post(server.port(), "/schedule", body);
     ASSERT_EQ(viaHttp.status, 200);
 
-    int fd = connectTo(server.port());
+    int fd = connectLoopback(server.port());
     ASSERT_GE(fd, 0);
     std::string first, second;
     ASSERT_TRUE(frameExchange(fd, body, first));
@@ -324,7 +289,7 @@ TEST(ServiceTorture, FrameProtocolServesBatchesAndRejectsGarbage)
     EXPECT_EQ(second, viaHttp.body);
 
     // Zero-length frame: framed JSON error.
-    fd = connectTo(server.port());
+    fd = connectLoopback(server.port());
     ASSERT_GE(fd, 0);
     std::string err;
     EXPECT_TRUE(frameExchange(fd, "", err));
@@ -333,7 +298,7 @@ TEST(ServiceTorture, FrameProtocolServesBatchesAndRejectsGarbage)
 
     // A frame body that is not valid JSON comes back as a framed
     // parse error, not a closed connection.
-    fd = connectTo(server.port());
+    fd = connectLoopback(server.port());
     ASSERT_GE(fd, 0);
     ASSERT_TRUE(frameExchange(fd, "not json at all", err));
     EXPECT_NE(err.find("error"), std::string::npos);
@@ -352,11 +317,11 @@ TEST(ServiceTorture, QueueOverflowSheds503)
     opts.recvTimeoutMs = 2000;
     ASSERT_TRUE(server.start(opts));
 
-    int staller = connectTo(server.port());
+    int staller = connectLoopback(server.port());
     ASSERT_GE(staller, 0);
     // Give the handler time to adopt the stalled connection.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    int queued = connectTo(server.port());
+    int queued = connectLoopback(server.port());
     ASSERT_GE(queued, 0);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
@@ -366,6 +331,81 @@ TEST(ServiceTorture, QueueOverflowSheds503)
 
     ::close(staller);
     ::close(queued);
+    server.stop();
+}
+
+TEST(ServiceTorture, StatsCountShedsAndReadRefusals)
+{
+    ServiceServer server;
+    ServiceServerOptions opts;
+    opts.handlerThreads = 1;
+    opts.maxQueue = 1;
+    opts.maxBodyBytes = 2048;
+    opts.recvTimeoutMs = 2000;
+    ASSERT_TRUE(server.start(opts));
+    int port = server.port();
+
+    int staller = connectLoopback(port);
+    ASSERT_GE(staller, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    int queued = connectLoopback(port);
+    ASSERT_GE(queued, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_NE(rawExchange(port, "").find("503"), std::string::npos);
+    ::close(staller);
+    ::close(queued);
+    // Until the handler has drained both, a request may be shed too.
+    for (int i = 0; i < 100 && get(port, "/healthz").status != 200; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+    // One 413; a 404 and a 405 are routing answers, not bad requests.
+    EXPECT_EQ(post(port, "/schedule", std::string(4096, 'x')).status,
+              413);
+    EXPECT_EQ(get(port, "/nope").status, 404);
+    EXPECT_NE(rawExchange(port, "PUT /schedule HTTP/1.1\r\n\r\n")
+                  .find("405"),
+              std::string::npos);
+
+    Reply stats = get(port, "/stats");
+    ASSERT_EQ(stats.status, 200);
+    EXPECT_GE(jsonInt(stats.body, "shed_503"), 1) << stats.body;
+    EXPECT_EQ(jsonInt(stats.body, "bad_requests"), 1) << stats.body;
+    server.stop();
+}
+
+// Regression: the protocol sniff and the HTTP reader each ran under a
+// deadline of their own, so a connection that sent nothing, or
+// stalled inside the frame magic, held its handler for two timeouts.
+TEST(ServiceTorture, StalledConnectionIsRefusedWithinOneDeadline)
+{
+    ServiceServer server;
+    ServiceServerOptions opts;
+    opts.recvTimeoutMs = 600;
+    ASSERT_TRUE(server.start(opts));
+    auto bound = std::chrono::milliseconds(opts.recvTimeoutMs * 3 / 2);
+
+    for (const std::string wire : {"", "S"}) {
+        auto t0 = std::chrono::steady_clock::now();
+        std::string resp = rawExchange(server.port(), wire);
+        auto took = std::chrono::steady_clock::now() - t0;
+        EXPECT_NE(resp.find("HTTP/1.1 408"), std::string::npos)
+            << "'" << wire << "': " << resp;
+        EXPECT_LT(took, bound)
+            << "'" << wire << "' was refused after "
+            << std::chrono::duration_cast<std::chrono::milliseconds>(took)
+                   .count()
+            << " ms";
+    }
+
+    // A magic prefix and then a half-close is a truncated request,
+    // not a stall: 400.
+    int fd = connectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    ::send(fd, "S", 1, MSG_NOSIGNAL);
+    ::shutdown(fd, SHUT_WR);
+    std::string resp = readToClose(fd);
+    ::close(fd);
+    EXPECT_NE(resp.find("HTTP/1.1 400"), std::string::npos) << resp;
     server.stop();
 }
 
@@ -442,6 +482,20 @@ TEST(ServiceTorture, StatsAndMetricsStayServedAndValid)
         std::string::npos)
         << "request-latency histogram missing from /metrics";
     server.stop();
+}
+
+TEST(ServiceTorture, HeadHealthzCarriesLengthButNoBody)
+{
+    ServiceServer server;
+    ServiceServerOptions opts;
+    ASSERT_TRUE(server.start(opts));
+    std::string resp =
+        rawExchange(server.port(), "HEAD /healthz HTTP/1.1\r\n\r\n");
+    server.stop();
+    EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos) << resp;
+    EXPECT_NE(resp.find("Content-Length: 3\r\n"), std::string::npos);
+    EXPECT_NE(resp.find("\r\n\r\n"), std::string::npos);
+    EXPECT_EQ(bodyOf(resp), "");
 }
 
 } // namespace

@@ -2,19 +2,16 @@
  * The diagnostics HTTP server (support/debug_server.hh): ephemeral
  * port binding, every endpoint's status and content type, unknown
  * paths, the HTTP framing itself (a raw-socket client, no libcurl),
- * and idempotent stop.
+ * HEAD, 503 shedding, and idempotent stop.
  */
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
+#include <chrono>
 #include <string>
+#include <thread>
 
+#include "loopback_http.hh"
 #include "support/debug_server.hh"
 #include "support/json.hh"
 #include "support/metrics.hh"
@@ -24,43 +21,6 @@ namespace balance
 {
 namespace
 {
-
-/** One blocking HTTP/1.1 GET against 127.0.0.1:@p port. */
-std::string
-httpGet(int port, const std::string &path)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return "";
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) < 0) {
-        ::close(fd);
-        return "";
-    }
-    std::string req = "GET " + path + " HTTP/1.1\r\n"
-                      "Host: 127.0.0.1\r\n"
-                      "Connection: close\r\n\r\n";
-    ::send(fd, req.data(), req.size(), 0);
-    std::string resp;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        resp.append(buf, std::size_t(n));
-    ::close(fd);
-    return resp;
-}
-
-/** @return the response body (after the blank line). */
-std::string
-bodyOf(const std::string &resp)
-{
-    std::size_t pos = resp.find("\r\n\r\n");
-    return pos == std::string::npos ? "" : resp.substr(pos + 4);
-}
 
 TEST(DebugServer, BindsEphemeralPortAndServesHealth)
 {
@@ -148,51 +108,11 @@ TEST(DebugServer, UnknownPathIs404AndBadMethodIs405)
               std::string::npos);
 
     // Raw POST through the same socket path.
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-    const char *req = "POST /metrics HTTP/1.1\r\n\r\n";
-    ::send(fd, req, std::strlen(req), 0);
-    std::string resp;
-    char buf[1024];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        resp.append(buf, std::size_t(n));
-    ::close(fd);
+    int fd = connectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    std::string resp = exchangeOn(fd, "POST /metrics HTTP/1.1\r\n\r\n");
     EXPECT_NE(resp.find("HTTP/1.1 405"), std::string::npos) << resp;
     server.stop();
-}
-
-/** Raw bytes in, full response out, against 127.0.0.1:@p port. */
-std::string
-rawExchange(int port, const std::string &wire)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return "";
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) < 0) {
-        ::close(fd);
-        return "";
-    }
-    if (!wire.empty())
-        ::send(fd, wire.data(), wire.size(), 0);
-    std::string resp;
-    char buf[1024];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        resp.append(buf, std::size_t(n));
-    ::close(fd);
-    return resp;
 }
 
 // Regression: a garbage request line used to come back as 404 (the
@@ -238,6 +158,52 @@ TEST(DebugServer, StallingClientGets408AndDoesNotWedgeServer)
     EXPECT_NE(httpGet(server.port(), "/healthz")
                   .find("HTTP/1.1 200 OK"),
               std::string::npos);
+    server.stop();
+}
+
+TEST(DebugServer, HeadHealthzCarriesLengthButNoBody)
+{
+    DebugServer server;
+    DebugServerOptions opts;
+    ASSERT_TRUE(server.start(opts));
+    std::string resp =
+        rawExchange(server.port(), "HEAD /healthz HTTP/1.1\r\n\r\n");
+    server.stop();
+    EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos) << resp;
+    EXPECT_NE(resp.find("Content-Length: 3\r\n"), std::string::npos);
+    EXPECT_NE(resp.find("\r\n\r\n"), std::string::npos);
+    EXPECT_EQ(bodyOf(resp), "");
+}
+
+TEST(DebugServer, QueueOverflowSheds503AsText)
+{
+    // One handler thread, queue of one: a stalling client pins the
+    // handler, a second fills the queue, the third must be shed.
+    DebugServer server;
+    DebugServerOptions opts;
+    opts.handlerThreads = 1;
+    opts.maxQueue = 1;
+    opts.recvTimeoutMs = 2000;
+    ASSERT_TRUE(server.start(opts));
+
+    int staller = connectLoopback(server.port());
+    ASSERT_GE(staller, 0);
+    // Give the handler time to adopt the stalled connection.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    int queued = connectLoopback(server.port());
+    ASSERT_GE(queued, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    std::string resp = rawExchange(server.port(), "");
+    EXPECT_NE(resp.find("HTTP/1.1 503 Service Unavailable"),
+              std::string::npos)
+        << resp;
+    EXPECT_NE(resp.find("Content-Type: text/plain; charset=utf-8"),
+              std::string::npos);
+    EXPECT_EQ(bodyOf(resp), "overloaded\n");
+
+    ::close(staller);
+    ::close(queued);
     server.stop();
 }
 
