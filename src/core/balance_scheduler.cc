@@ -4,6 +4,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "core/branch_select.hh"
 #include "core/op_pick.hh"
@@ -41,13 +42,21 @@ logOutcome(BranchOutcome o)
  * runs: the scheduling state, the per-branch dynamics objects, and
  * the DC-mode static late buffers all keep their allocations across
  * superblocks and machines (each run rebinds them in O(1) extra
- * memory).
+ * memory). The per-decision buffers (branch needs, the selection's
+ * working set, the candidate lists) are cleared each decision, not
+ * rebuilt, so a decision allocates nothing once they have grown.
  */
 struct EngineScratch final : SchedScratchExtension
 {
     std::optional<SchedState> state;
     std::vector<std::unique_ptr<BranchDynamics>> dyn;
     std::vector<std::vector<int>> dcLate;
+    /** Needs of the unretired branches, reused slot by slot; a
+     *  decision uses as many leading slots as it has such branches. */
+    std::vector<BranchNeeds> needs;
+    SelectionScratch select;
+    std::vector<OpId> selected;   //!< the selection's candidate ops
+    std::vector<OpId> candidates; //!< what the pick chooses among
 };
 
 /** The shared Balance/Help engine for one run. */
@@ -63,8 +72,8 @@ class Engine
     {
         // Park the engine working set in the caller's SchedScratch so
         // repeated runs (the evaluation sweeps) stop reallocating it;
-        // without a scratch, fall back to engine-owned buffers.
-        EngineScratch *es = nullptr;
+        // without a scratch, the engine owns one for this run.
+        es = &ownScratch;
         if (req.scratch) {
             es = dynamic_cast<EngineScratch *>(
                 req.scratch->coreExt.get());
@@ -74,16 +83,11 @@ class Engine
                 req.scratch->coreExt = std::move(fresh);
             }
         }
-        if (es && es->state) {
+        if (es->state)
             es->state->rebind(sb, machine);
-            state = &*es->state;
-        } else if (es) {
+        else
             es->state.emplace(sb, machine);
-            state = &*es->state;
-        } else {
-            ownState.emplace(sb, machine);
-            state = &*ownState;
-        }
+        state = &*es->state;
 
         staticLate.reserve(std::size_t(sb.numBranches()));
         if (cfg.useRcBounds) {
@@ -95,8 +99,7 @@ class Engine
                 pairwise = toolkit->pairwise();
         } else {
             staticEarly = &ctx.earlyDC();
-            std::vector<std::vector<int>> &dcLate =
-                es ? es->dcLate : ownDcLate;
+            std::vector<std::vector<int>> &dcLate = es->dcLate;
             dcLate.resize(std::size_t(sb.numBranches()));
             for (int bi = 0; bi < sb.numBranches(); ++bi) {
                 OpId b = sb.branches()[std::size_t(bi)];
@@ -106,8 +109,7 @@ class Engine
             }
         }
 
-        std::vector<std::unique_ptr<BranchDynamics>> &pool =
-            es ? es->dyn : ownDyn;
+        std::vector<std::unique_ptr<BranchDynamics>> &pool = es->dyn;
         if (int(pool.size()) > sb.numBranches())
             pool.resize(std::size_t(sb.numBranches()));
         for (int bi = 0; bi < sb.numBranches(); ++bi) {
@@ -143,7 +145,7 @@ class Engine
 
             DecisionStep *step =
                 log ? &log->beginStep(state->cycle()) : nullptr;
-            std::vector<OpId> candidates = chooseCandidates(step);
+            const std::vector<OpId> &candidates = chooseCandidates(step);
             OpId pick = pickBestOp(*state, *dyn, weights, candidates,
                                    {cfg.useHlpDel}, stats);
             if (cfg.trace) {
@@ -230,10 +232,11 @@ class Engine
     }
 
     /** All operations issuable in the current cycle. */
-    std::vector<OpId>
-    issuableOps() const
+    const std::vector<OpId> &
+    issuableOps()
     {
-        std::vector<OpId> out;
+        std::vector<OpId> &out = es->candidates;
+        out.clear();
         for (OpId v = 0; v < sb.numOps(); ++v) {
             if (state->canIssueNow(v))
                 out.push_back(v);
@@ -241,31 +244,35 @@ class Engine
         return out;
     }
 
-    std::vector<OpId>
+    const std::vector<OpId> &
     chooseCandidates(DecisionStep *step)
     {
         if (!cfg.useSelection)
             return issuableOps();
 
-        // Gather each unretired branch's needs for this decision.
-        std::vector<BranchNeeds> needs;
+        // Gather each unretired branch's needs for this decision into
+        // the reused slots.
+        const std::size_t pools =
+            std::size_t(state->machine().numResources());
+        std::size_t count = 0;
         for (int bi = 0; bi < sb.numBranches(); ++bi) {
             BranchDynamics &d = *(*dyn)[std::size_t(bi)];
             if (d.retired())
                 continue;
-            BranchNeeds n;
+            if (count == es->needs.size())
+                es->needs.emplace_back();
+            BranchNeeds &n = es->needs[count++];
             n.branchIdx = bi;
             n.weight = weights[std::size_t(bi)];
             n.dynEarly = d.dynEarly();
-            n.needEach = d.needEach(*state);
-            n.needOne.resize(
-                std::size_t(state->machine().numResources()));
-            for (int r = 0; r < state->machine().numResources(); ++r)
-                n.needOne[std::size_t(r)] = d.needOne(*state, r);
-            needs.push_back(std::move(n));
+            d.needEach(*state, n.needEach);
+            n.needOne.resize(pools);
+            for (std::size_t r = 0; r < pools; ++r)
+                d.needOne(*state, ResourceId(r), n.needOne[r]);
         }
-        if (needs.empty())
+        if (count == 0)
             return issuableOps();
+        std::span<const BranchNeeds> needs(es->needs.data(), count);
 
         TradeoffInputs tradeoff;
         if (cfg.useTradeoff && pairwise) {
@@ -274,15 +281,18 @@ class Engine
             tradeoff.sb = &sb;
         }
         SelectionDebug dbg;
-        SelectionResult sel = selectCompatibleBranches(
-            *state, needs, tradeoff, stats, step ? &dbg : nullptr);
+        const SelectionResult &sel = selectCompatibleBranches(
+            *state, needs, tradeoff, es->select, stats,
+            step ? &dbg : nullptr);
         if (step)
             recordSelection(*step, needs, sel, dbg);
 
         if (sel.unconstrained())
             return issuableOps();
-        std::vector<OpId> cands;
-        for (OpId v : sel.candidateOps()) {
+        sel.candidateOps(es->selected);
+        std::vector<OpId> &cands = es->candidates;
+        cands.clear();
+        for (OpId v : es->selected) {
             if (state->canIssueNow(v))
                 cands.push_back(v);
         }
@@ -293,8 +303,7 @@ class Engine
 
     /** Copy one selection's view into the decision log step. */
     static void
-    recordSelection(DecisionStep &step,
-                    const std::vector<BranchNeeds> &needs,
+    recordSelection(DecisionStep &step, std::span<const BranchNeeds> needs,
                     const SelectionResult &sel,
                     const SelectionDebug &dbg)
     {
@@ -336,14 +345,12 @@ class Engine
     std::vector<const std::vector<int> *> staticLate;
     const PairwiseBounds *pairwise = nullptr;
 
-    /** Scheduling state and per-branch dynamics: pooled in the
-     *  request's SchedScratch when one is present, engine-owned
-     *  fallbacks otherwise. */
+    /** The working set: the request's SchedScratch extension when
+     *  one is present, else ownScratch. state and dyn point into it. */
+    EngineScratch ownScratch;
+    EngineScratch *es = nullptr;
     SchedState *state = nullptr;
     std::vector<std::unique_ptr<BranchDynamics>> *dyn = nullptr;
-    std::optional<SchedState> ownState;
-    std::vector<std::unique_ptr<BranchDynamics>> ownDyn;
-    std::vector<std::vector<int>> ownDcLate;
 };
 
 } // namespace

@@ -1,6 +1,7 @@
 #include "core/branch_dynamics.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/diagnostics.hh"
 
@@ -19,7 +20,8 @@ BranchDynamics::BranchDynamics(const GraphContext &ctx,
       early(std::size_t(ctx.sb().numOps()), 0),
       late(std::size_t(ctx.sb().numOps()), lateUnconstrained),
       ercs(std::size_t(machine.numResources())),
-      latesByPool(std::size_t(machine.numResources()))
+      latesByPool(std::size_t(machine.numResources())),
+      tight(std::size_t(machine.numResources()))
 {
     for (OpId v : *closure)
         member[std::size_t(v)] = 1;
@@ -49,6 +51,8 @@ BranchDynamics::rebind(const GraphContext &ctx,
     for (auto &lates : latesByPool)
         lates.clear();
     isRetired = false;
+    ++epoch;
+    tight.resize(std::size_t(machine.numResources()));
     for (OpId v : *closure)
         member[std::size_t(v)] = 1;
 }
@@ -56,6 +60,7 @@ BranchDynamics::rebind(const GraphContext &ctx,
 void
 BranchDynamics::fullUpdate(const SchedState &state, SchedulerStats *stats)
 {
+    ++epoch;
     if (state.isScheduled(branch)) {
         isRetired = true;
         for (auto &list : ercs)
@@ -190,6 +195,7 @@ bool
 BranchDynamics::lightUpdateOnOp(const SchedState &state, OpId lastOp,
                                 SchedulerStats *stats)
 {
+    ++epoch;
     if (isRetired)
         return true;
     if (lastOp == branch) {
@@ -245,6 +251,7 @@ BranchDynamics::lightUpdateOnCycleAdvance(const SchedState &state,
                                           const std::vector<int> &lostSlots,
                                           SchedulerStats *stats)
 {
+    ++epoch;
     if (isRetired)
         return true;
 
@@ -273,56 +280,69 @@ BranchDynamics::lightUpdateOnCycleAdvance(const SchedState &state,
     return true;
 }
 
-std::vector<OpId>
-BranchDynamics::needEach(const SchedState &state) const
+void
+BranchDynamics::needEach(const SchedState &state,
+                         std::vector<OpId> &out) const
 {
-    std::vector<OpId> out;
+    out.clear();
     if (isRetired)
-        return out;
+        return;
     for (OpId v : *closure) {
         if (!state.isScheduled(v) &&
             late[std::size_t(v)] <= state.cycle()) {
             out.push_back(v);
         }
     }
-    return out;
 }
 
 int
-BranchDynamics::tightDeadline(const SchedState &state, ResourceId r) const
+BranchDynamics::scanTightDeadline(const SchedState &state,
+                                  ResourceId r) const
 {
     // Smallest zero-empty deadline that still has an unscheduled
     // member: under light updates an ERC whose members all issued
     // keeps its (exact) empty count but imposes nothing anymore, so
     // the next tight window takes over (its members are a superset).
-    for (const Erc &erc : ercs[std::size_t(r)]) {
-        if (erc.empty > 0)
+    // A window has an unscheduled member exactly when its deadline
+    // reaches the pool's earliest unscheduled late time, so one
+    // closure pass serves every window; it stops as soon as a member
+    // falls inside the first tight one.
+    const std::vector<Erc> &list = ercs[std::size_t(r)];
+    auto firstTight = std::find_if(list.begin(), list.end(),
+                                   [](const Erc &e) { return e.empty <= 0; });
+    if (firstTight == list.end())
+        return -1;
+    const Superblock &sb = state.sb();
+    int earliest = std::numeric_limits<int>::max();
+    for (OpId v : *closure) {
+        if (state.isScheduled(v) || machine->poolOf(sb.op(v).cls) != r)
             continue;
-        for (OpId v : *closure) {
-            if (!state.isScheduled(v) &&
-                machine->poolOf(state.sb().op(v).cls) == r &&
-                late[std::size_t(v)] <= erc.deadline) {
-                return erc.deadline;
-            }
-        }
+        earliest = std::min(earliest, late[std::size_t(v)]);
+        if (earliest <= firstTight->deadline)
+            return firstTight->deadline;
+    }
+    for (auto it = firstTight; it != list.end(); ++it) {
+        if (it->empty <= 0 && earliest <= it->deadline)
+            return it->deadline;
     }
     return -1;
 }
 
-std::vector<OpId>
-BranchDynamics::needOne(const SchedState &state, ResourceId r) const
+void
+BranchDynamics::needOne(const SchedState &state, ResourceId r,
+                        std::vector<OpId> &out) const
 {
-    std::vector<OpId> out;
+    out.clear();
     if (isRetired)
-        return out;
+        return;
     // With no unit of r free in the current cycle, nothing can be
     // taken from (or wasted against) the window in this decision:
     // the constraint binds again once a slot exists.
     if (state.freeNow(r) == 0)
-        return out;
+        return;
     int deadline = tightDeadline(state, r);
     if (deadline < 0)
-        return out;
+        return;
     const Superblock &sb = state.sb();
     for (OpId v : *closure) {
         if (!state.isScheduled(v) &&
@@ -331,7 +351,6 @@ BranchDynamics::needOne(const SchedState &state, ResourceId r) const
             out.push_back(v);
         }
     }
-    return out;
 }
 
 bool

@@ -25,6 +25,7 @@
 #ifndef BALANCE_CORE_BRANCH_DYNAMICS_HH
 #define BALANCE_CORE_BRANCH_DYNAMICS_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "core/sched_state.hh"
@@ -121,17 +122,19 @@ class BranchDynamics
     /**
      * NeedEach (Section 5.2): unscheduled closure operations whose
      * late time is at or before the current cycle. Every one of them
-     * must issue in the current cycle or the branch slips.
+     * must issue in the current cycle or the branch slips. Replaces
+     * the contents of @p out, ascending.
      */
-    std::vector<OpId> needEach(const SchedState &state) const;
+    void needEach(const SchedState &state, std::vector<OpId> &out) const;
 
     /**
      * NeedOne for resource pool @p r: the members of the tightest
      * zero-empty ERC, of which one must be chosen in the current
      * scheduling decision. Empty when no ERC of @p r is tight.
+     * Replaces the contents of @p out, ascending.
      */
-    std::vector<OpId> needOne(const SchedState &state,
-                              ResourceId r) const;
+    void needOne(const SchedState &state, ResourceId r,
+                 std::vector<OpId> &out) const;
 
     /**
      * @return true when some pool has a tight (zero-empty) ERC with
@@ -163,9 +166,29 @@ class BranchDynamics
   private:
     /**
      * Deadline of the tightest zero-empty ERC of @p r that still has
-     * an unscheduled member, or -1.
+     * an unscheduled member, or -1. Memoized per pool: the answer
+     * depends only on the ERCs and late times, which change only in
+     * an update, and on which operations are scheduled, which only
+     * grows within one state. So (scheduled count, update epoch) keys
+     * it, and a decision's needOne/helps/wastes queries share one
+     * scan per pool.
      */
-    int tightDeadline(const SchedState &state, ResourceId r) const;
+    int
+    tightDeadline(const SchedState &state, ResourceId r) const
+    {
+        if (tightPlaced != state.scheduledCount() || tightEpoch != epoch) {
+            std::fill(tight.begin(), tight.end(), tightUnknown);
+            tightPlaced = state.scheduledCount();
+            tightEpoch = epoch;
+        }
+        int &slot = tight[std::size_t(r)];
+        if (slot == tightUnknown)
+            slot = scanTightDeadline(state, r);
+        return slot;
+    }
+
+    /** tightDeadline without the memo. */
+    int scanTightDeadline(const SchedState &state, ResourceId r) const;
 
     const GraphContext *ctx;
     const MachineModel *machine;
@@ -184,6 +207,14 @@ class BranchDynamics
     /** Step 2 scratch: per-pool late times, reused across updates. */
     std::vector<std::vector<int>> latesByPool;
     bool isRetired = false;
+    /** Bumped by every update and rebind: the ERCs may have moved. */
+    long long epoch = 0;
+    /** tightDeadline memo per pool, valid for (tightPlaced,
+     *  tightEpoch); tightUnknown where not yet scanned. */
+    static constexpr int tightUnknown = -2;
+    mutable std::vector<int> tight;
+    mutable int tightPlaced = -1;
+    mutable long long tightEpoch = -1;
 };
 
 } // namespace balance

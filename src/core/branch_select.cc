@@ -20,15 +20,14 @@ BranchNeeds::hasNeeds() const
     return false;
 }
 
-std::vector<OpId>
-SelectionResult::candidateOps() const
+void
+SelectionResult::candidateOps(std::vector<OpId> &out) const
 {
-    std::vector<OpId> out = takeEach;
+    out.assign(takeEach.begin(), takeEach.end());
     for (const auto &group : takeOne)
         out.insert(out.end(), group.begin(), group.end());
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
 }
 
 bool
@@ -46,67 +45,54 @@ SelectionResult::unconstrained() const
 namespace
 {
 
-/** Membership-testable op set with per-pool counts. */
-class OpSet
-{
-  public:
-    OpSet(const SchedState &state)
-        : state(&state), in(std::size_t(state.sb().numOps()), 0),
-          poolCount(std::size_t(state.machine().numResources()), 0)
-    {}
-
-    bool contains(OpId v) const { return in[std::size_t(v)]; }
-
-    void
-    add(OpId v)
-    {
-        if (in[std::size_t(v)])
-            return;
-        in[std::size_t(v)] = 1;
-        ops.push_back(v);
-        ResourceId r =
-            state->machine().poolOf(state->sb().op(v).cls);
-        ++poolCount[std::size_t(r)];
-    }
-
-    int
-    countInPool(ResourceId r) const
-    {
-        return poolCount[std::size_t(r)];
-    }
-
-    const std::vector<OpId> &members() const { return ops; }
-
-  private:
-    const SchedState *state;
-    std::vector<char> in;
-    std::vector<int> poolCount;
-    std::vector<OpId> ops;
-};
-
-} // namespace
-
-SelectionResult
-selectPass(const SchedState &state, const std::vector<BranchNeeds> &needs,
-           const std::vector<int> &order)
+/** One pass of Fig. 7 in @p order, its result written to @p result. */
+void
+runPass(const SchedState &state, std::span<const BranchNeeds> needs,
+        const std::vector<int> &order, SelectionScratch &scratch,
+        SelectionResult &result)
 {
     const MachineModel &machine = state.machine();
-    int pools = machine.numResources();
+    const std::size_t pools = std::size_t(machine.numResources());
+    auto poolOf = [&](OpId v) {
+        return std::size_t(machine.poolOf(state.sb().op(v).cls));
+    };
 
-    SelectionResult result;
     result.outcome.assign(needs.size(), BranchOutcome::Ignored);
-    result.takeOne.assign(std::size_t(pools), {});
+    result.takeOne.resize(pools);
+    for (auto &group : result.takeOne)
+        group.clear();
 
-    OpSet takeEach(state);
+    // TakeEach is the result's own list, with membership flags and
+    // per-pool counts on the side (flags are cleared again on exit).
+    std::vector<OpId> &takeEach = result.takeEach;
+    takeEach.clear();
+    std::vector<char> &inTakeEach = scratch.inTakeEach;
+    if (inTakeEach.size() < std::size_t(state.sb().numOps()))
+        inTakeEach.resize(std::size_t(state.sb().numOps()), 0);
+    std::vector<int> &eachPool = scratch.eachPool;
+    eachPool.assign(pools, 0);
     // Per pool: the running TakeOne intersection. `active` means the
     // constraint exists and is not yet satisfied by TakeEach.
-    std::vector<std::vector<OpId>> takeOne{std::size_t(pools)};
-    std::vector<char> takeOneActive(std::size_t(pools), 0);
+    std::vector<std::vector<OpId>> &takeOne = scratch.takeOne;
+    takeOne.resize(pools);
+    for (auto &group : takeOne)
+        group.clear();
+    std::vector<char> &takeOneActive = scratch.takeOneActive;
+    takeOneActive.assign(pools, 0);
+    std::vector<std::vector<OpId>> &staged = scratch.staged;
+    staged.resize(pools);
+    std::vector<char> &stagedSet = scratch.stagedSet;
+    stagedSet.assign(pools, 0);
+    std::vector<int> &eachCount = scratch.eachCount;
+    std::vector<OpId> &added = scratch.added;
 
     auto satisfiedByTakeEach = [&](const std::vector<OpId> &group) {
         return std::any_of(group.begin(), group.end(), [&](OpId v) {
-            return takeEach.contains(v);
+            return inTakeEach[std::size_t(v)] != 0;
         });
+    };
+    auto inAdded = [&](OpId v) {
+        return std::find(added.begin(), added.end(), v) != added.end();
     };
 
     for (int idx : order) {
@@ -118,10 +104,10 @@ selectPass(const SchedState &state, const std::vector<BranchNeeds> &needs,
 
         // Tentative TakeEach' = TakeEach u NeedEach[b]; all members
         // must be issuable together in the current cycle.
-        std::vector<OpId> added;
+        added.clear();
         bool feasible = true;
         for (OpId v : b.needEach) {
-            if (!takeEach.contains(v)) {
+            if (!inTakeEach[std::size_t(v)]) {
                 if (!state.isDepReady(v)) {
                     feasible = false;
                     break;
@@ -131,30 +117,19 @@ selectPass(const SchedState &state, const std::vector<BranchNeeds> &needs,
         }
 
         // Stage the TakeOne' intersections.
-        std::vector<std::vector<OpId>> staged{std::size_t(pools)};
-        std::vector<char> stagedSet(std::size_t(pools), 0);
-
         if (feasible) {
-            // Apply the staged TakeEach additions to a scratch set
-            // view: pool counts after additions.
-            std::vector<int> eachCount(std::size_t(pools), 0);
-            for (int r = 0; r < pools; ++r)
-                eachCount[std::size_t(r)] = takeEach.countInPool(r);
+            // Pool counts of TakeEach' (TakeEach plus the additions).
+            eachCount.assign(eachPool.begin(), eachPool.end());
             auto inTakeEachPrime = [&](OpId v) {
-                if (takeEach.contains(v))
-                    return true;
-                return std::find(added.begin(), added.end(), v) !=
-                       added.end();
+                return inTakeEach[std::size_t(v)] || inAdded(v);
             };
-            for (OpId v : added) {
-                ResourceId r = machine.poolOf(state.sb().op(v).cls);
-                ++eachCount[std::size_t(r)];
-            }
+            for (OpId v : added)
+                ++eachCount[poolOf(v)];
 
-            for (int r = 0; r < pools && feasible; ++r) {
-                const std::vector<OpId> &need =
-                    b.needOne[std::size_t(r)];
-                bool existing = takeOneActive[std::size_t(r)];
+            for (std::size_t r = 0; r < pools && feasible; ++r) {
+                const std::vector<OpId> &need = b.needOne[r];
+                const std::vector<OpId> &existingSet = takeOne[r];
+                bool existing = takeOneActive[r];
 
                 // A constraint met by TakeEach' costs nothing more.
                 bool needMet =
@@ -162,70 +137,64 @@ selectPass(const SchedState &state, const std::vector<BranchNeeds> &needs,
                     std::any_of(need.begin(), need.end(),
                                 inTakeEachPrime);
                 bool existingMet =
-                    existing && satisfiedByTakeEach(
-                                    takeOne[std::size_t(r)]);
+                    existing && satisfiedByTakeEach(existingSet);
                 if (!existingMet && existing) {
-                    existingMet = std::any_of(
-                        takeOne[std::size_t(r)].begin(),
-                        takeOne[std::size_t(r)].end(),
-                        [&](OpId v) {
-                            return std::find(added.begin(), added.end(),
-                                             v) != added.end();
-                        });
+                    existingMet = std::any_of(existingSet.begin(),
+                                              existingSet.end(), inAdded);
                 }
 
-                std::vector<OpId> base;
+                // Only ready operations outside TakeEach' count: the
+                // base set (the need, the existing intersection, or
+                // both intersected) is filtered straight into the
+                // staging slot.
+                std::vector<OpId> &usable = staged[r];
+                usable.clear();
+                auto consider = [&](OpId v) {
+                    if (!inTakeEachPrime(v) && state.isDepReady(v))
+                        usable.push_back(v);
+                };
                 bool active = false;
                 if (!need.empty() && !needMet) {
                     if (existing && !existingMet) {
                         // Intersection of both constraints.
                         for (OpId v : need) {
-                            if (std::find(
-                                    takeOne[std::size_t(r)].begin(),
-                                    takeOne[std::size_t(r)].end(), v) !=
-                                takeOne[std::size_t(r)].end()) {
-                                base.push_back(v);
-                            }
+                            if (std::find(existingSet.begin(),
+                                          existingSet.end(), v) !=
+                                existingSet.end())
+                                consider(v);
                         }
                     } else {
-                        base = need;
+                        for (OpId v : need)
+                            consider(v);
                     }
                     active = true;
                 } else if (existing && !existingMet) {
-                    base = takeOne[std::size_t(r)];
+                    for (OpId v : existingSet)
+                        consider(v);
                     active = true;
                 }
 
                 if (active) {
-                    // Only ready operations outside TakeEach' count,
-                    // and the pool must have a slot left for one of
-                    // them after TakeEach'.
-                    std::vector<OpId> usable;
-                    for (OpId v : base) {
-                        if (!inTakeEachPrime(v) && state.isDepReady(v))
-                            usable.push_back(v);
-                    }
+                    // The pool must have a slot left for one of them
+                    // after TakeEach'.
                     if (usable.empty() ||
-                        eachCount[std::size_t(r)] + 1 >
-                            state.freeNow(r)) {
+                        eachCount[r] + 1 > state.freeNow(ResourceId(r))) {
                         feasible = false;
                         break;
                     }
-                    staged[std::size_t(r)] = std::move(usable);
-                    stagedSet[std::size_t(r)] = 1;
+                    stagedSet[r] = 1;
                 } else {
                     // Constraint absent or satisfied by TakeEach':
                     // nothing to stage; the commit step clears a
                     // satisfied existing constraint.
-                    staged[std::size_t(r)].clear();
-                    stagedSet[std::size_t(r)] = 0;
+                    stagedSet[r] = 0;
                 }
             }
 
             // Pool capacity for TakeEach' itself.
             if (feasible) {
-                for (int r = 0; r < pools; ++r) {
-                    if (eachCount[std::size_t(r)] > state.freeNow(r)) {
+                for (std::size_t r = 0; r < pools; ++r) {
+                    if (eachCount[r] > state.freeNow(ResourceId(r))) {
                         feasible = false;
                         break;
                     }
@@ -239,25 +208,31 @@ selectPass(const SchedState &state, const std::vector<BranchNeeds> &needs,
         }
 
         // Commit.
-        for (OpId v : added)
-            takeEach.add(v);
-        for (int r = 0; r < pools; ++r) {
-            if (stagedSet[std::size_t(r)]) {
-                takeOne[std::size_t(r)] = staged[std::size_t(r)];
-                takeOneActive[std::size_t(r)] = 1;
-            } else if (takeOneActive[std::size_t(r)] &&
-                       satisfiedByTakeEach(takeOne[std::size_t(r)])) {
-                takeOneActive[std::size_t(r)] = 0;
-                takeOne[std::size_t(r)].clear();
+        for (OpId v : added) {
+            if (inTakeEach[std::size_t(v)])
+                continue;
+            inTakeEach[std::size_t(v)] = 1;
+            takeEach.push_back(v);
+            ++eachPool[poolOf(v)];
+        }
+        for (std::size_t r = 0; r < pools; ++r) {
+            if (stagedSet[r]) {
+                takeOne[r].swap(staged[r]);
+                takeOneActive[r] = 1;
+            } else if (takeOneActive[r] &&
+                       satisfiedByTakeEach(takeOne[r])) {
+                takeOneActive[r] = 0;
+                takeOne[r].clear();
             }
         }
         result.outcome[std::size_t(idx)] = BranchOutcome::Selected;
     }
 
-    result.takeEach = takeEach.members();
-    for (int r = 0; r < pools; ++r) {
-        if (takeOneActive[std::size_t(r)])
-            result.takeOne[std::size_t(r)] = takeOne[std::size_t(r)];
+    for (OpId v : takeEach)
+        inTakeEach[std::size_t(v)] = 0;
+    for (std::size_t r = 0; r < pools; ++r) {
+        if (takeOneActive[r])
+            result.takeOne[r].assign(takeOne[r].begin(), takeOne[r].end());
     }
 
     // Rank before tradeoff revision: selected minus delayed.
@@ -275,7 +250,16 @@ selectPass(const SchedState &state, const std::vector<BranchNeeds> &needs,
             break;
         }
     }
-    return result;
+}
+
+} // namespace
+
+const SelectionResult &
+selectPass(const SchedState &state, std::span<const BranchNeeds> needs,
+           const std::vector<int> &order, SelectionScratch &scratch)
+{
+    runPass(state, needs, order, scratch, scratch.current);
+    return scratch.current;
 }
 
 namespace
@@ -287,7 +271,7 @@ namespace
  */
 void
 applyDelayedOkRevision(const SchedState &state,
-                       const std::vector<BranchNeeds> &needs,
+                       std::span<const BranchNeeds> needs,
                        const TradeoffInputs &tradeoff,
                        SelectionResult &sel,
                        std::vector<SelectionDebug::Note> *notes = nullptr)
@@ -344,14 +328,16 @@ applyDelayedOkRevision(const SchedState &state,
 
 } // namespace
 
-SelectionResult
+const SelectionResult &
 selectCompatibleBranches(const SchedState &state,
-                         const std::vector<BranchNeeds> &needs,
+                         std::span<const BranchNeeds> needs,
                          const TradeoffInputs &tradeoff,
-                         SchedulerStats *stats, SelectionDebug *debug)
+                         SelectionScratch &scratch, SchedulerStats *stats,
+                         SelectionDebug *debug)
 {
     // Initial order: decreasing weight, program order on ties.
-    std::vector<int> order(needs.size());
+    std::vector<int> &order = scratch.order;
+    order.resize(needs.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](int a, int b) {
         if (needs[std::size_t(a)].weight != needs[std::size_t(b)].weight)
@@ -361,14 +347,14 @@ selectCompatibleBranches(const SchedState &state,
                needs[std::size_t(b)].branchIdx;
     });
 
-    std::vector<SelectionDebug::Note> passNotes;
     std::vector<SelectionDebug::Note> *notes =
-        debug ? &passNotes : nullptr;
+        debug ? &scratch.passNotes : nullptr;
 
-    SelectionResult best = selectPass(state, needs, order);
+    SelectionResult &best = scratch.best;
+    runPass(state, needs, order, scratch, best);
     applyDelayedOkRevision(state, needs, tradeoff, best, notes);
     if (debug) {
-        debug->notes = passNotes;
+        debug->notes = scratch.passNotes;
         debug->reorders = 0;
     }
     if (stats) {
@@ -380,8 +366,11 @@ selectCompatibleBranches(const SchedState &state,
         return best;
     const Superblock &sb = *tradeoff.sb;
 
-    SelectionResult current = best;
-    std::vector<int> curOrder = order;
+    // The latest pass's outcomes drive the next swap; the first
+    // round reads the initial selection itself.
+    const SelectionResult *latest = &best;
+    std::vector<int> &curOrder = scratch.curOrder;
+    curOrder.assign(order.begin(), order.end());
     for (int round = 0; round < tradeoff.maxReorders; ++round) {
         // Find a (delayed i, selected j) pair where the pairwise
         // bound prefers delaying j and j precedes i in the order.
@@ -389,10 +378,10 @@ selectCompatibleBranches(const SchedState &state,
         int swapJ = -1;
         for (std::size_t i = 0;
              i < needs.size() && swapI < 0; ++i) {
-            if (current.outcome[i] != BranchOutcome::Delayed)
+            if (latest->outcome[i] != BranchOutcome::Delayed)
                 continue;
             for (std::size_t j = 0; j < needs.size(); ++j) {
-                if (current.outcome[j] != BranchOutcome::Selected)
+                if (latest->outcome[j] != BranchOutcome::Selected)
                     continue;
                 int bi = needs[i].branchIdx;
                 int bj = needs[j].branchIdx;
@@ -421,8 +410,10 @@ selectCompatibleBranches(const SchedState &state,
         auto posI = std::find(curOrder.begin(), curOrder.end(), swapI);
         auto posJ = std::find(curOrder.begin(), curOrder.end(), swapJ);
         std::iter_swap(posI, posJ);
-        current = selectPass(state, needs, curOrder);
+        SelectionResult &current = scratch.current;
+        runPass(state, needs, curOrder, scratch, current);
         applyDelayedOkRevision(state, needs, tradeoff, current, notes);
+        latest = &current;
         if (debug)
             ++debug->reorders;
         if (stats) {
@@ -432,7 +423,7 @@ selectCompatibleBranches(const SchedState &state,
         if (current.rank > best.rank) {
             best = current;
             if (debug)
-                debug->notes = passNotes;
+                debug->notes = scratch.passNotes;
         }
     }
     return best;

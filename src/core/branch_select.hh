@@ -22,6 +22,7 @@
 #ifndef BALANCE_CORE_BRANCH_SELECT_HH
 #define BALANCE_CORE_BRANCH_SELECT_HH
 
+#include <span>
 #include <vector>
 
 #include "bounds/pairwise.hh"
@@ -67,23 +68,15 @@ struct SelectionResult
     /** Weighted rank of this selection. */
     double rank = 0.0;
 
-    /** @return takeEach plus all takeOne members, deduplicated. */
-    std::vector<OpId> candidateOps() const;
+    /**
+     * Replace @p out with takeEach plus all takeOne members, sorted
+     * and deduplicated.
+     */
+    void candidateOps(std::vector<OpId> &out) const;
 
     /** @return true when neither takeEach nor takeOne constrain. */
     bool unconstrained() const;
 };
-
-/**
- * One selection pass in the given processing order (Fig. 7).
- *
- * @param state Scheduling state (readiness and free slots).
- * @param needs Per-branch needs.
- * @param order Indices into @p needs, highest priority first.
- */
-SelectionResult selectPass(const SchedState &state,
-                           const std::vector<BranchNeeds> &needs,
-                           const std::vector<int> &order);
 
 /** Inputs enabling the Section 5.4 tradeoff revision. */
 struct TradeoffInputs
@@ -121,18 +114,60 @@ struct SelectionDebug
 };
 
 /**
+ * Reusable working set of the selection: selectPass's op sets and
+ * staging buffers, the processing orders, and the results
+ * selectCompatibleBranches compares. One scratch serves every
+ * decision of a run, so the selection stops allocating once each
+ * buffer has reached its largest size. The results live here, valid
+ * until the next call with the same scratch.
+ */
+struct SelectionScratch
+{
+    SelectionResult best;    //!< selectCompatibleBranches' answer
+    SelectionResult current; //!< the latest pass (selectPass' answer)
+    std::vector<int> order;    //!< initial processing order
+    std::vector<int> curOrder; //!< order after the swap rounds
+    std::vector<SelectionDebug::Note> passNotes;
+
+    /** TakeEach membership per op; all zero between passes. */
+    std::vector<char> inTakeEach;
+    std::vector<int> eachPool;  //!< TakeEach members per pool
+    std::vector<int> eachCount; //!< the same, with staged additions
+    std::vector<OpId> added;    //!< one branch's staged NeedEach
+    std::vector<std::vector<OpId>> takeOne; //!< running intersections
+    std::vector<char> takeOneActive;
+    std::vector<std::vector<OpId>> staged; //!< one branch's TakeOne'
+    std::vector<char> stagedSet;
+};
+
+/**
+ * One selection pass in the given processing order (Fig. 7).
+ *
+ * @param state Scheduling state (readiness and free slots).
+ * @param needs Per-branch needs.
+ * @param order Indices into @p needs, highest priority first.
+ * @param scratch Working set; holds the returned result.
+ */
+const SelectionResult &selectPass(const SchedState &state,
+                                  std::span<const BranchNeeds> needs,
+                                  const std::vector<int> &order,
+                                  SelectionScratch &scratch);
+
+/**
  * Full Section 5.3 + 5.4 selection: initial order by decreasing
  * weight, tradeoff-driven reordering, best rank wins.
  *
+ * @param scratch Working set; holds the returned result.
  * @param debug Optional observability record; filling it does not
  *        change the returned selection.
  */
-SelectionResult selectCompatibleBranches(const SchedState &state,
-                                         const std::vector<BranchNeeds>
-                                             &needs,
-                                         const TradeoffInputs &tradeoff,
-                                         SchedulerStats *stats = nullptr,
-                                         SelectionDebug *debug = nullptr);
+const SelectionResult &
+selectCompatibleBranches(const SchedState &state,
+                         std::span<const BranchNeeds> needs,
+                         const TradeoffInputs &tradeoff,
+                         SelectionScratch &scratch,
+                         SchedulerStats *stats = nullptr,
+                         SelectionDebug *debug = nullptr);
 
 } // namespace balance
 

@@ -38,12 +38,14 @@ permHash(std::span<const std::int32_t> perm)
     return h;
 }
 
+/** @return true when @p perm is the @p i-th permutation of @p grid. */
 bool
-samePerm(std::span<const std::int32_t> a,
-         const std::vector<std::int32_t> &b)
+samePerm(std::span<const std::int32_t> perm,
+         const SchedScratch::GridMemory &grid, std::size_t i)
 {
-    return a.size() == b.size() &&
-           std::equal(a.begin(), a.end(), b.begin());
+    return std::equal(perm.begin(), perm.end(),
+                      grid.perms.begin() +
+                          std::ptrdiff_t(i * perm.size()));
 }
 
 void
@@ -90,16 +92,17 @@ gridSweep(const GraphContext &ctx, const MachineModel &machine,
             double fb = double(b) / gridSteps;
             double fc = std::max(0.0, 1.0 - fa - fb);
             // Fused blend + key map: same permutation as blending
-            // into a buffer and ranking it, without the round trip.
+            // into a buffer and ranking it, without the round trip;
+            // the previous point's order is repaired into this one's.
             std::span<const std::int32_t> perm =
                 priorityRankOrderBlended(sb, fa, cp, fb, sr, fc, dh,
-                                         scr);
+                                         scr.grid.order, scr);
             std::uint64_t h = permHash(perm);
 
             int found = -1;
             for (std::size_t i = 0; i < scr.grid.hashes.size(); ++i) {
                 if (scr.grid.hashes[i] == h &&
-                    samePerm(perm, scr.grid.perms[i])) {
+                    samePerm(perm, scr.grid, i)) {
                     found = int(i);
                     break;
                 }
@@ -123,7 +126,8 @@ gridSweep(const GraphContext &ctx, const MachineModel &machine,
                 if (stats)
                     addStats(*stats, delta);
                 scr.grid.hashes.push_back(h);
-                scr.grid.perms.emplace_back(perm.begin(), perm.end());
+                scr.grid.perms.insert(scr.grid.perms.end(), perm.begin(),
+                                      perm.end());
                 scr.grid.wcts.push_back(w);
                 scr.grid.deltas.push_back(delta);
                 if (wantIssue && (!have || w < bestW))

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 
 #include "sched/sched_scratch.hh"
 #include "support/diagnostics.hh"
@@ -273,6 +274,42 @@ sortRanks(std::span<std::int32_t> ranks, const std::uint64_t *keyOf,
         ranks[i] = sorted[i].id;
 }
 
+/** Insertion shifts a repair may spend per operation (see below). */
+constexpr std::size_t repairShiftsPerOp = 4;
+
+/**
+ * Insertion-sort the permutation @p ranks by (keyOf[id] asc, id asc)
+ * in place — the order sortRanks produces, reached from wherever
+ * @p ranks starts, because the pair is a strict total order. Cheap
+ * when @p ranks is nearly sorted (a neighbouring grid point's order);
+ * gives up once the elements have moved more than @p budget places
+ * in total, leaving some permutation behind.
+ *
+ * @return true when @p ranks is sorted.
+ */
+bool
+repairRanks(std::span<std::int32_t> ranks, const std::uint64_t *keyOf,
+            std::size_t budget)
+{
+    std::size_t shifts = 0;
+    for (std::size_t i = 1; i < ranks.size(); ++i) {
+        std::int32_t id = ranks[i];
+        std::uint64_t key = keyOf[id];
+        std::size_t j = i;
+        for (; j > 0; --j) {
+            std::int32_t prev = ranks[j - 1];
+            if (keyOf[prev] < key || (keyOf[prev] == key && prev < id))
+                break;
+            ranks[j] = prev;
+        }
+        ranks[j] = id;
+        shifts += i - j;
+        if (shifts > budget)
+            return false;
+    }
+    return true;
+}
+
 /**
  * Sort @p ids by (pri[id] desc, id asc) with a direct gather
  * comparator — the small-block path, where even one key-mapping
@@ -323,6 +360,7 @@ priorityRankOrderBlended(const Superblock &sb, double a,
                          const std::vector<double> &cp, double b,
                          const std::vector<double> &sr, double c,
                          const std::vector<double> &dh,
+                         std::vector<std::int32_t> &order,
                          SchedScratch &scratch)
 {
     bsAssert(int(cp.size()) == sb.numOps() && cp.size() == sr.size() &&
@@ -331,24 +369,18 @@ priorityRankOrderBlended(const Superblock &sb, double a,
     ScratchArena &arena = scratch.runArena();
     arena.reset();
     const std::size_t n = std::size_t(sb.numOps());
-    std::span<std::int32_t> ranks = arena.alloc<std::int32_t>(n);
-    for (OpId id = 0; id < sb.numOps(); ++id)
-        ranks[std::size_t(id)] = id;
-    if (n < radixMinSize) {
-        // Same association as the blend kernels, same contraction
-        // rules (the build forbids FP contraction globally), so the
-        // blends — and the resulting order — match the fused path.
-        std::span<double> blend = arena.alloc<double>(n);
-        for (std::size_t i = 0; i < n; ++i)
-            blend[i] = a * cp[i] + b * sr[i] + c * dh[i];
-        sortIdsByPriorityDesc(ranks, blend.data());
-        return ranks;
-    }
     std::span<std::uint64_t> keys = arena.alloc<std::uint64_t>(n);
     simdKernels().blendMapKeysDesc(a, cp.data(), b, sr.data(), c,
                                    dh.data(), keys.data(), int(n));
-    sortRanks(ranks, keys.data(), arena);
-    return ranks;
+    if (order.size() == n &&
+        repairRanks(order, keys.data(), repairShiftsPerOp * n))
+        return order;
+    // No earlier order, or too far from this one: sort from the
+    // identity (sortRanks' radix path needs ties id-ascending).
+    order.resize(n);
+    std::iota(order.begin(), order.end(), 0);
+    sortRanks(order, keys.data(), arena);
+    return order;
 }
 
 std::span<const int>

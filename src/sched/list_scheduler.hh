@@ -102,12 +102,21 @@ priorityRankOrder(const Superblock &sb,
  * tables — the blend keeps the same association order and the key
  * map is strictly monotone — which is how the Best combo grid shares
  * one vectorized recompute across its 121 points.
+ *
+ * @p order carries the permutation from call to call and holds the
+ * result. When it already holds a permutation of this size (the
+ * previous grid point's), it is repaired in place by insertion, which
+ * is cheap between neighbouring blends; past a budget of a few shifts
+ * per operation, or when @p order is empty, it is sorted afresh. Since
+ * (priority desc, id asc) is a strict total order, every start ends in
+ * the same permutation. Rewinds @p scratch's run arena.
  */
 std::span<const std::int32_t>
 priorityRankOrderBlended(const Superblock &sb, double a,
                          const std::vector<double> &cp, double b,
                          const std::vector<double> &sr, double c,
                          const std::vector<double> &dh,
+                         std::vector<std::int32_t> &order,
                          SchedScratch &scratch);
 
 /**

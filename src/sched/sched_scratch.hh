@@ -103,9 +103,12 @@ class SchedScratch
     struct GridMemory
     {
         std::vector<std::uint64_t> hashes;    //!< permutation hashes
-        std::vector<std::vector<std::int32_t>> perms;
+        /** The permutations back to back, numOps entries each. */
+        std::vector<std::int32_t> perms;
         std::vector<double> wcts;             //!< per unique run
         std::vector<SchedulerStats> deltas;   //!< stats per unique run
+        /** The latest point's rank order, repaired into the next. */
+        std::vector<std::int32_t> order;
 
         void
         clear()
@@ -114,6 +117,7 @@ class SchedScratch
             perms.clear();
             wcts.clear();
             deltas.clear();
+            order.clear();
         }
     };
 

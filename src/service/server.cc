@@ -53,7 +53,7 @@ ServiceServer::start(const ServiceServerOptions &opts)
 
     return server.start(
         "balance-service", options,
-        [this](int fd, Deadline deadline) {
+        [this](int fd, Deadline &deadline) {
             serveConnection(fd, deadline);
         },
         [this] {
@@ -64,7 +64,7 @@ ServiceServer::start(const ServiceServerOptions &opts)
 }
 
 void
-ServiceServer::serveConnection(int fd, Deadline deadline)
+ServiceServer::serveConnection(int fd, Deadline &deadline)
 {
     // Sniff the protocol: frame clients open with the literal "SBP1";
     // anything else is HTTP. Read no further than the first byte that
@@ -94,13 +94,14 @@ ServiceServer::serveConnection(int fd, Deadline deadline)
 }
 
 void
-ServiceServer::serveFrames(int fd, Deadline deadline)
+ServiceServer::serveFrames(int fd, Deadline &deadline)
 {
     // Any number of frames back to back. The sniff read the first
     // frame's magic, and the rest of that frame shares the connection's
     // deadline. Each later frame waits for its first byte under a
-    // deadline of its own and reads the rest under one more. Exit on a
-    // clean close at a frame boundary.
+    // deadline of its own and reads the rest under one more, which
+    // becomes the connection's (the core's closing drain runs under
+    // it). Exit on a clean close at a frame boundary.
     char header[8] = {};
     std::memcpy(header, frameMagic, 4);
     std::size_t have = 4;

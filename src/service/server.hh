@@ -91,8 +91,8 @@ class ServiceServer
     std::string statsJson() const;
 
   private:
-    void serveConnection(int fd, Deadline deadline);
-    void serveFrames(int fd, Deadline deadline);
+    void serveConnection(int fd, Deadline &deadline);
+    void serveFrames(int fd, Deadline &deadline);
     HttpResponse route(const HttpRequest &req);
 
     /**

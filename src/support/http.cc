@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdint>
@@ -26,6 +27,9 @@ constexpr std::size_t maxHeadBytes = 16 * 1024;
 
 /** Pending-connection backlog handed to listen(). */
 constexpr int listenBacklog = 128;
+
+/** Bytes a connection's close reads off at most (closeAfterDrain). */
+constexpr std::size_t maxDrainBytes = 64 * 1024;
 
 /** Outcome of readHttpRequest (see the status mapping in the file
  *  comment). */
@@ -196,6 +200,29 @@ writeHttpResponse(int fd, const HttpResponse &r, bool headOnly = false)
     head += "Connection: close\r\n\r\n";
     if (writeAllFd(fd, head.data(), head.size()) && !headOnly)
         writeAllFd(fd, r.body.data(), r.body.size());
+}
+
+/**
+ * Close @p fd without losing the answer. A close with unread bytes
+ * (the rest of a refused frame or body) makes the kernel send RST,
+ * and a client that has not read the answer yet then loses it. So
+ * half-close first, which ends the answer cleanly, then read off what
+ * the client still sends, at most maxDrainBytes and no later than
+ * @p deadline, and close once the client closes too.
+ */
+void
+closeAfterDrain(int fd, Deadline deadline)
+{
+    ::shutdown(fd, SHUT_WR);
+    char buf[4096];
+    for (std::size_t left = maxDrainBytes; left > 0;) {
+        ssize_t n =
+            recvUntil(fd, buf, std::min(sizeof(buf), left), deadline);
+        if (n <= 0)
+            break;
+        left -= std::size_t(n);
+    }
+    ::close(fd);
 }
 
 } // namespace
@@ -389,6 +416,9 @@ HttpServer::stop()
         stopping.store(true, std::memory_order_release);
     }
     queueCv.notify_all();
+    // Wake the acceptor from its poll: a shut-down listening socket
+    // polls as hung up at once.
+    ::shutdown(listenFd, SHUT_RDWR);
     if (acceptor.joinable())
         acceptor.join();
     for (std::thread &t : handlers) {
@@ -415,7 +445,7 @@ HttpServer::acceptLoop()
         pollfd pfd{};
         pfd.fd = listenFd;
         pfd.events = POLLIN;
-        int rc = ::poll(&pfd, 1, 100);
+        int rc = ::poll(&pfd, 1, -1); // stop() wakes it
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
@@ -459,8 +489,9 @@ HttpServer::handlerLoop()
             fd = pending.front();
             pending.pop_front();
         }
-        serve(fd, deadlineAfter(recvTimeoutMs));
-        ::close(fd);
+        Deadline deadline = deadlineAfter(recvTimeoutMs);
+        serve(fd, deadline);
+        closeAfterDrain(fd, deadline);
     }
 }
 

@@ -12,7 +12,11 @@
  * core sets one absolute deadline when a handler adopts a connection,
  * and every read on that connection runs against it, so a client that
  * connects and then stalls holds a handler thread for at most
- * `recvTimeoutMs`, never forever.
+ * `recvTimeoutMs`, never forever. When the front end is done, the core
+ * half-closes the connection and reads off what the client still sends
+ * (a bounded amount, under the same deadline) before it closes, so an
+ * answer sent over unread bytes, such as a refusal, is not lost to a
+ * reset. stop() wakes the acceptor at once.
  *
  * serveHttpRequest reads exactly the subset both front ends need — a
  * request line, headers, and an optional Content-Length body — maps
@@ -135,8 +139,11 @@ class HttpServer
 {
   public:
     /** Serves one adopted connection; every read runs against
-     *  @p deadline. The core closes @p fd afterwards. */
-    using Serve = std::function<void(int fd, Deadline deadline)>;
+     *  @p deadline, which the front end may move on (a frame
+     *  connection gives each frame its own). The core then
+     *  half-closes @p fd, reads off what the client still sends
+     *  until the final deadline, and closes it. */
+    using Serve = std::function<void(int fd, Deadline &deadline)>;
     /** The 503 answer for a connection shed by a full queue. */
     using Shed = std::function<HttpResponse()>;
 

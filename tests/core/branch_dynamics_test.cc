@@ -37,6 +37,22 @@ struct DynFixture
     }
 };
 
+std::vector<OpId>
+needEachOf(const BranchDynamics &d, const SchedState &state)
+{
+    std::vector<OpId> out;
+    d.needEach(state, out);
+    return out;
+}
+
+std::vector<OpId>
+needOneOf(const BranchDynamics &d, const SchedState &state, ResourceId r)
+{
+    std::vector<OpId> out;
+    d.needOne(state, r, out);
+    return out;
+}
+
 TEST(BranchDynamics, InitialBoundsMatchStatics)
 {
     DynFixture f(paperFigure2(0.4));
@@ -59,13 +75,13 @@ TEST(BranchDynamics, NeedSetsOfFigure2)
 
     BranchDynamics d1 = f.dyn(1);
     d1.fullUpdate(state, nullptr);
-    auto each = d1.needEach(state);
+    auto each = needEachOf(d1, state);
     ASSERT_EQ(each.size(), 1u);
     EXPECT_EQ(each[0], 4);
 
     BranchDynamics d0 = f.dyn(0);
     d0.fullUpdate(state, nullptr);
-    EXPECT_TRUE(d0.needEach(state).empty());
+    EXPECT_TRUE(needEachOf(d0, state).empty());
     // With all slots still free there is one spare slot in branch
     // 3's window, so no resource need yet.
     EXPECT_FALSE(d0.hasTightErc(state));
@@ -74,7 +90,7 @@ TEST(BranchDynamics, NeedSetsOfFigure2)
     // becomes exact: branch 3 now needs one of them per decision.
     state.scheduleNow(4);
     d0.fullUpdate(state, nullptr);
-    auto one = d0.needOne(state, f.machine.poolOf(OpClass::IntAlu));
+    auto one = needOneOf(d0, state, f.machine.poolOf(OpClass::IntAlu));
     ASSERT_EQ(one.size(), 3u);
     EXPECT_EQ(one[0], 0);
     EXPECT_EQ(one[2], 2);
@@ -139,9 +155,9 @@ TEST(BranchDynamics, LightUpdateMatchesFullUpdateNeeds)
     BranchDynamics fresh = f.dyn(1);
     fresh.fullUpdate(state, nullptr);
     EXPECT_EQ(light.dynEarly(), fresh.dynEarly());
-    EXPECT_EQ(light.needEach(state), fresh.needEach(state));
+    EXPECT_EQ(needEachOf(light, state), needEachOf(fresh, state));
     for (int r = 0; r < f.machine.numResources(); ++r)
-        EXPECT_EQ(light.needOne(state, r), fresh.needOne(state, r));
+        EXPECT_EQ(needOneOf(light, state, r), needOneOf(fresh, state, r));
 }
 
 TEST(BranchDynamics, WasteTriggersFullUpdateSignal)
@@ -179,13 +195,13 @@ TEST(BranchDynamics, NeedOneVacuousWhenPoolFull)
     BranchDynamics d0 = f.dyn(0);
     d0.fullUpdate(state, nullptr);
     ResourceId intPool = f.machine.poolOf(OpClass::IntAlu);
-    ASSERT_FALSE(d0.needOne(state, intPool).empty());
+    ASSERT_FALSE(needOneOf(d0, state, intPool).empty());
 
     // Fill the remaining GP2 slot: the need becomes vacuous.
     state.scheduleNow(0);
     d0.fullUpdate(state, nullptr);
     EXPECT_EQ(state.freeNow(intPool), 0);
-    EXPECT_TRUE(d0.needOne(state, intPool).empty());
+    EXPECT_TRUE(needOneOf(d0, state, intPool).empty());
 }
 
 TEST(BranchDynamics, HelpsAndWastes)
@@ -214,6 +230,63 @@ TEST(BranchDynamics, HelpsAndWastes)
     EXPECT_TRUE(d0.wastes(state, 5));
     // Members do not waste.
     EXPECT_FALSE(d0.wastes(state, 1));
+}
+
+TEST(BranchDynamics, TightWindowFollowsIssuesAndUpdates)
+{
+    // p and q must issue by cycle 0 and, with r and s, fill both GP2
+    // slots of cycles 0 and 1: two tight windows, deadlines 0 and 1.
+    // Issuing p and q in cycle 0 empties the first window, so the
+    // second takes over at once, before any update of the branch.
+    // The tight window is memoized per decision; a memo that did not
+    // notice the issues (or, below, the update) answers with a stale
+    // window here.
+    SuperblockBuilder b("windows");
+    OpId p = b.addOp(OpClass::IntAlu, 1);
+    OpId q = b.addOp(OpClass::IntAlu, 1);
+    OpId r = b.addOp(OpClass::IntAlu, 1);
+    OpId s = b.addOp(OpClass::IntAlu, 1);
+    OpId x = b.addBranch(1.0);
+    b.addEdge(p, r);
+    b.addEdge(q, s);
+    b.addEdge(r, x);
+    b.addEdge(s, x);
+    DynFixture f(b.build());
+    ResourceId pool = f.machine.poolOf(OpClass::IntAlu);
+
+    SchedState state(f.sb, f.machine);
+    BranchDynamics d = f.dyn(0);
+    d.fullUpdate(state, nullptr);
+    EXPECT_EQ(d.dynEarly(), 2);
+    EXPECT_EQ(needOneOf(d, state, pool), (std::vector<OpId>{p, q}));
+    EXPECT_FALSE(d.helps(state, r));
+
+    state.scheduleNow(p);
+    EXPECT_EQ(needOneOf(d, state, pool), (std::vector<OpId>{q}));
+    EXPECT_FALSE(d.helps(state, r));
+    state.scheduleNow(q);
+    EXPECT_TRUE(d.helps(state, r));
+    EXPECT_TRUE(d.helps(state, s));
+    EXPECT_TRUE(d.lightUpdateOnOp(state, p, nullptr));
+    EXPECT_TRUE(d.lightUpdateOnOp(state, q, nullptr));
+    EXPECT_TRUE(d.helps(state, r));
+    EXPECT_TRUE(d.lightUpdateOnCycleAdvance(state, state.advanceCycle(),
+                                            nullptr));
+    EXPECT_EQ(needOneOf(d, state, pool), (std::vector<OpId>{r, s}));
+
+    // A cycle that goes by with nothing issued: p and q slip, the full
+    // update moves both windows a cycle later, and the scheduled count
+    // never changed.
+    SchedState idle(f.sb, f.machine);
+    BranchDynamics e = f.dyn(0);
+    e.fullUpdate(idle, nullptr);
+    EXPECT_EQ(needOneOf(e, idle, pool), (std::vector<OpId>{p, q}));
+    EXPECT_FALSE(e.lightUpdateOnCycleAdvance(idle, idle.advanceCycle(),
+                                             nullptr));
+    e.fullUpdate(idle, nullptr);
+    EXPECT_EQ(e.dynEarly(), 3);
+    EXPECT_EQ(needOneOf(e, idle, pool), (std::vector<OpId>{p, q}));
+    EXPECT_FALSE(e.helps(idle, r));
 }
 
 } // namespace

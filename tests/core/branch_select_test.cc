@@ -46,9 +46,10 @@ TEST(SelectPass, IgnoredWithoutNeeds)
     Superblock sb = twoBranchSb();
     MachineModel machine = MachineModel::gp2();
     SchedState state(sb, machine);
+    SelectionScratch scratch;
     std::vector<BranchNeeds> needs = {needsOf(0, 0.5, {}, {{}}),
                                       needsOf(1, 0.5, {}, {{}})};
-    SelectionResult sel = selectPass(state, needs, {0, 1});
+    SelectionResult sel = selectPass(state, needs, {0, 1}, scratch);
     EXPECT_EQ(sel.outcome[0], BranchOutcome::Ignored);
     EXPECT_EQ(sel.outcome[1], BranchOutcome::Ignored);
     EXPECT_TRUE(sel.unconstrained());
@@ -60,19 +61,21 @@ TEST(SelectPass, CompatibleNeedsBothSelected)
     Superblock sb = twoBranchSb();
     MachineModel machine = MachineModel::gp2();
     SchedState state(sb, machine);
+    SelectionScratch scratch;
     // Branch 0 needs op 0 now; branch 1 needs one of {4, 5}.
     std::vector<BranchNeeds> needs = {
         needsOf(0, 0.6, {0}, {{}}),
         needsOf(1, 0.4, {}, {{4, 5}}),
     };
-    SelectionResult sel = selectPass(state, needs, {0, 1});
+    SelectionResult sel = selectPass(state, needs, {0, 1}, scratch);
     EXPECT_EQ(sel.outcome[0], BranchOutcome::Selected);
     EXPECT_EQ(sel.outcome[1], BranchOutcome::Selected);
     ASSERT_EQ(sel.takeEach.size(), 1u);
     EXPECT_EQ(sel.takeEach[0], 0);
     ASSERT_EQ(sel.takeOne[0].size(), 2u);
     EXPECT_DOUBLE_EQ(sel.rank, 1.0);
-    auto cands = sel.candidateOps();
+    std::vector<OpId> cands;
+    sel.candidateOps(cands);
     EXPECT_EQ(cands.size(), 3u);
 }
 
@@ -81,13 +84,14 @@ TEST(SelectPass, ResourceExhaustionDelaysLater)
     Superblock sb = twoBranchSb();
     MachineModel machine = MachineModel::gp2();
     SchedState state(sb, machine);
+    SelectionScratch scratch;
     // Branch 0 claims both GP2 slots; branch 1's resource need
     // cannot be accommodated on top.
     std::vector<BranchNeeds> needs = {
         needsOf(0, 0.6, {0, 1}, {{}}),
         needsOf(1, 0.4, {}, {{4, 5}}),
     };
-    SelectionResult sel = selectPass(state, needs, {0, 1});
+    SelectionResult sel = selectPass(state, needs, {0, 1}, scratch);
     EXPECT_EQ(sel.outcome[0], BranchOutcome::Selected);
     EXPECT_EQ(sel.outcome[1], BranchOutcome::Delayed);
     EXPECT_DOUBLE_EQ(sel.rank, 0.6 - 0.4);
@@ -98,14 +102,15 @@ TEST(SelectPass, OrderDecidesWinnerUnderContention)
     Superblock sb = twoBranchSb();
     MachineModel machine = MachineModel::gp2();
     SchedState state(sb, machine);
+    SelectionScratch scratch;
     std::vector<BranchNeeds> needs = {
         needsOf(0, 0.6, {0, 1}, {{}}),
         needsOf(1, 0.4, {4, 5}, {{}}),
     };
-    SelectionResult first = selectPass(state, needs, {0, 1});
+    SelectionResult first = selectPass(state, needs, {0, 1}, scratch);
     EXPECT_EQ(first.outcome[0], BranchOutcome::Selected);
     EXPECT_EQ(first.outcome[1], BranchOutcome::Delayed);
-    SelectionResult second = selectPass(state, needs, {1, 0});
+    SelectionResult second = selectPass(state, needs, {1, 0}, scratch);
     EXPECT_EQ(second.outcome[0], BranchOutcome::Delayed);
     EXPECT_EQ(second.outcome[1], BranchOutcome::Selected);
 }
@@ -115,12 +120,13 @@ TEST(SelectPass, TakeOneIntersection)
     Superblock sb = twoBranchSb();
     MachineModel machine = MachineModel::gp2();
     SchedState state(sb, machine);
+    SelectionScratch scratch;
     // Both branches have resource needs with overlap {1}.
     std::vector<BranchNeeds> needs = {
         needsOf(0, 0.6, {}, {{0, 1}}),
         needsOf(1, 0.4, {}, {{1, 4}}),
     };
-    SelectionResult sel = selectPass(state, needs, {0, 1});
+    SelectionResult sel = selectPass(state, needs, {0, 1}, scratch);
     EXPECT_EQ(sel.outcome[0], BranchOutcome::Selected);
     EXPECT_EQ(sel.outcome[1], BranchOutcome::Selected);
     ASSERT_EQ(sel.takeOne[0].size(), 1u);
@@ -132,6 +138,7 @@ TEST(SelectPass, DisjointTakeOneDelays)
     Superblock sb = twoBranchSb();
     MachineModel machine = MachineModel::gp2();
     SchedState state(sb, machine);
+    SelectionScratch scratch;
     std::vector<BranchNeeds> needs = {
         needsOf(0, 0.6, {}, {{0}}),
         needsOf(1, 0.4, {}, {{4}}),
@@ -140,7 +147,7 @@ TEST(SelectPass, DisjointTakeOneDelays)
     // two slots? Each TakeOne needs one slot; two needs in the same
     // pool cannot be tracked jointly by a single intersection, so
     // the second branch is delayed.
-    SelectionResult sel = selectPass(state, needs, {0, 1});
+    SelectionResult sel = selectPass(state, needs, {0, 1}, scratch);
     EXPECT_EQ(sel.outcome[0], BranchOutcome::Selected);
     EXPECT_EQ(sel.outcome[1], BranchOutcome::Delayed);
 }
@@ -150,13 +157,14 @@ TEST(SelectPass, NeedMetByTakeEachIsFree)
     Superblock sb = twoBranchSb();
     MachineModel machine = MachineModel::gp2();
     SchedState state(sb, machine);
+    SelectionScratch scratch;
     // Branch 1's resource need is already satisfied by branch 0's
     // dependence need for op 0.
     std::vector<BranchNeeds> needs = {
         needsOf(0, 0.6, {0, 1}, {{}}),
         needsOf(1, 0.4, {}, {{0, 4}}),
     };
-    SelectionResult sel = selectPass(state, needs, {0, 1});
+    SelectionResult sel = selectPass(state, needs, {0, 1}, scratch);
     EXPECT_EQ(sel.outcome[0], BranchOutcome::Selected);
     EXPECT_EQ(sel.outcome[1], BranchOutcome::Selected);
 }
@@ -166,11 +174,12 @@ TEST(SelectPass, UnreadyNeedEachDelays)
     Superblock sb = twoBranchSb();
     MachineModel machine = MachineModel::gp2();
     SchedState state(sb, machine);
+    SelectionScratch scratch;
     // Branch 1 "needs" its own branch op, which is not dep-ready.
     std::vector<BranchNeeds> needs = {
         needsOf(1, 0.9, {sb.branches()[1]}, {{}}),
     };
-    SelectionResult sel = selectPass(state, needs, {0});
+    SelectionResult sel = selectPass(state, needs, {0}, scratch);
     EXPECT_EQ(sel.outcome[0], BranchOutcome::Delayed);
 }
 
@@ -191,6 +200,7 @@ TEST(SelectCompatible, TradeoffMarksDelayedOk)
     ASSERT_EQ(pt.y, 4);
 
     SchedState state(sb, machine);
+    SelectionScratch scratch;
     // Conflicting dependence needs: the side exit claims two int
     // feeders, the final exit claims its chain head plus a feeder;
     // three ops do not fit GP2's two slots.
@@ -206,7 +216,7 @@ TEST(SelectCompatible, TradeoffMarksDelayedOk)
     tradeoff.earlyRC = &toolkit.earlyRC();
     tradeoff.sb = &sb;
     SelectionResult sel =
-        selectCompatibleBranches(state, needs, tradeoff);
+        selectCompatibleBranches(state, needs, tradeoff, scratch);
     EXPECT_EQ(sel.outcome[1], BranchOutcome::Selected);
     EXPECT_EQ(sel.outcome[0], BranchOutcome::DelayedOk);
     EXPECT_NEAR(sel.rank, 0.26 + 0.74, 1e-12);
@@ -214,7 +224,8 @@ TEST(SelectCompatible, TradeoffMarksDelayedOk)
     // Without tradeoff inputs the same selection penalizes the
     // delayed branch instead.
     TradeoffInputs none;
-    SelectionResult plain = selectCompatibleBranches(state, needs, none);
+    SelectionResult plain =
+        selectCompatibleBranches(state, needs, none, scratch);
     EXPECT_EQ(plain.outcome[0], BranchOutcome::Delayed);
     EXPECT_NEAR(plain.rank, 0.74 - 0.26, 1e-12);
 }
@@ -224,12 +235,14 @@ TEST(SelectCompatible, OrdersByWeight)
     Superblock sb = twoBranchSb();
     MachineModel machine = MachineModel::gp2();
     SchedState state(sb, machine);
+    SelectionScratch scratch;
     std::vector<BranchNeeds> needs = {
         needsOf(0, 0.2, {0, 1}, {{}}),
         needsOf(1, 0.8, {4, 5}, {{}}),
     };
     TradeoffInputs none;
-    SelectionResult sel = selectCompatibleBranches(state, needs, none);
+    SelectionResult sel =
+        selectCompatibleBranches(state, needs, none, scratch);
     // The heavier branch wins the contention.
     EXPECT_EQ(sel.outcome[1], BranchOutcome::Selected);
     EXPECT_EQ(sel.outcome[0], BranchOutcome::Delayed);

@@ -409,6 +409,51 @@ TEST(ServiceTorture, StalledConnectionIsRefusedWithinOneDeadline)
     server.stop();
 }
 
+// Regression: a refusal was written and the connection closed with
+// bytes of the refused request still unread, so the kernel answered
+// the close with a reset and the client could lose the refusal.
+TEST(ServiceTorture, RefusalsArriveWholeOverUnreadBytes)
+{
+    ServiceServer server;
+    ServiceServerOptions opts;
+    opts.maxBodyBytes = 1024;
+    ASSERT_TRUE(server.start(opts));
+
+    // A good frame, then one with a bad magic and its payload behind
+    // it. The client reads nothing until the server is done.
+    int fd = connectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    std::string first;
+    ASSERT_TRUE(frameExchange(fd, scheduleBody(paperFigure6()), first));
+    const char bad[] = {'X', 'X', 'X', 'X', 0, 0, 0, 3, 'a', 'b', 'c'};
+    ASSERT_EQ(::send(fd, bad, sizeof(bad), MSG_NOSIGNAL),
+              ssize_t(sizeof(bad)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::string resp = readToClose(fd);
+    ::close(fd);
+    ASSERT_GE(resp.size(), 8u);
+    EXPECT_EQ(resp.substr(0, 4), "SBP1");
+    std::size_t len = (std::size_t(std::uint8_t(resp[6])) << 8) |
+                      std::size_t(std::uint8_t(resp[7]));
+    EXPECT_EQ(resp.size(), 8 + len);
+    EXPECT_NE(resp.find("bad frame magic"), std::string::npos) << resp;
+
+    // A body over the limit, sent whole: 413, not a reset.
+    fd = connectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    std::string wire = "POST /schedule HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                       "Content-Length: 16384\r\n\r\n" +
+                       std::string(16384, 'x');
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              ssize_t(wire.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    resp = readToClose(fd);
+    ::close(fd);
+    EXPECT_NE(resp.find("HTTP/1.1 413"), std::string::npos) << resp;
+    EXPECT_NE(resp.find("request too large"), std::string::npos) << resp;
+    server.stop();
+}
+
 TEST(ServiceTorture, InflightOverflowSheds429)
 {
     ServiceServer server;

@@ -23,6 +23,8 @@
 #include "sched/heuristics.hh"
 #include "sched/reference/reference.hh"
 #include "sched/sched_scratch.hh"
+#include "support/rng.hh"
+#include "workload/generator.hh"
 #include "workload/suite.hh"
 
 namespace balance
@@ -165,6 +167,39 @@ TEST(SchedEngineGolden, SuiteBitwiseIdenticalAcrossMachines)
                 }
             }
         }
+    }
+}
+
+TEST(SchedEngineGolden, BestOnAWideShapeMatchesReference)
+{
+    // From 128 ops up the grid ranks by the mapped u64 keys through
+    // the radix sort, and each point's order is repaired from the
+    // previous point's; the suite above stays below that size. This
+    // is perfbench's `large` shape 0, the giant path at 40 blocks.
+    GeneratorParams params;
+    params.giantProb = 1.0;
+    params.giantMinBlocks = params.giantMaxBlocks = 40;
+    Rng rng = Rng::stream(0x1a26e, 0);
+    Superblock sb = generateSuperblock(rng, params, "large.sb0");
+    ASSERT_GE(sb.numOps(), 128);
+    GraphContext ctx(sb);
+    std::vector<double> weights = steeringWeights(sb, {});
+    BestScheduler best(bestPrimaries());
+    SchedScratch scratch;
+
+    for (const MachineModel &m : MachineModel::paperConfigs()) {
+        std::string where = sb.name() + "/" + m.name();
+        SchedulerStats refStats;
+        Schedule ref =
+            sched_reference::bestSchedule(ctx, m, weights, &refStats);
+        SchedulerStats gotStats;
+        ScheduleRequest req;
+        req.scratch = &scratch;
+        req.stats = &gotStats;
+        Schedule got = best.run(ctx, m, req);
+        got.validate(sb, m);
+        expectScheduleIdentical(got, ref, sb, where);
+        expectStatsIdentical(gotStats, refStats, where);
     }
 }
 

@@ -223,6 +223,25 @@ TEST(DebugServer, StopIsIdempotentAndRestartable)
     (void)firstPort;
 }
 
+// Regression: stop() waited out the acceptor's 100-ms poll slice, so
+// every start/stop cycle of either server took about 100 ms.
+TEST(DebugServer, StartStopCycleIsQuick)
+{
+    DebugServer server;
+    DebugServerOptions opts;
+    for (int round = 0; round < 3; ++round) {
+        auto t0 = std::chrono::steady_clock::now();
+        ASSERT_TRUE(server.start(opts));
+        server.stop();
+        auto took = std::chrono::steady_clock::now() - t0;
+        EXPECT_LT(took, std::chrono::milliseconds(50))
+            << "round " << round << " took "
+            << std::chrono::duration_cast<std::chrono::milliseconds>(took)
+                   .count()
+            << " ms";
+    }
+}
+
 TEST(DebugServer, HandlePathDispatch)
 {
     int status = 0;
