@@ -47,48 +47,114 @@ struct TripleSweep
 };
 
 /**
- * Sweep the (a, b) grid of the triple (bi, bj, sink) on @p cache.
+ * One triple's grid on a cache bound to it: the EarlyRC anchors, the
+ * exit weights and the separation ranges, a in [aMin, aCap] and b in
+ * [bMin, bCap].
+ */
+struct TripleGrid
+{
+    int ei = 0, ej = 0;
+    double wi = 0.0, wj = 0.0, wk = 0.0;
+    int aMin = 0, bMin = 0, aCap = 0, bCap = 0;
+
+    /** Bind @p cache to the triple (bi, bj, sink) and read its grid. */
+    TripleGrid(TripleSweepCache &cache, const detail::SinkSkeleton &sink,
+               int bi, int bj, const Superblock &sb,
+               const TriplewiseOptions &opts)
+    {
+        cache.bindSink(sink);
+        cache.bindTriple(bi, bj);
+        ei = cache.ei();
+        ej = cache.ej();
+        int ek = cache.ek();
+        OpId i = sb.branches()[std::size_t(bi)];
+        OpId j = sb.branches()[std::size_t(bj)];
+        wi = sb.exitProb(i);
+        wj = sb.exitProb(j);
+        wk = sb.exitProb(sink.sink);
+        aMin = sb.op(i).latency;
+        bMin = sb.op(j).latency;
+        // Unlike the pairwise case, Theorem 2's termination property
+        // does not transfer to the i-coordinate of a triple (x derives
+        // from the k-anchored bound), so the a-sweep may need to reach
+        // past EarlyRC[j] + 1; the boundary column keeps any cap sound.
+        aCap = std::min(ek + 1, aMin + opts.maxLatRange);
+        bCap = std::min(ek + 1, bMin + opts.maxLatRange);
+    }
+
+    /** The weighted cost a triple's best minimizes. */
+    double cost(int x, int y, int z) const
+    {
+        return wi * x + wj * y + wk * z;
+    }
+    double cost(const TriplePoint &pt) const
+    {
+        return cost(pt.x, pt.y, pt.z);
+    }
+
+    /**
+     * @return the y of column @p a's capped fallback, a floor on the y
+     *         of each of its points: max(e_j, e_i + a), or e_j at the
+     *         boundary column, whose (x, y) are pinned.
+     */
+    int yFloor(int a) const
+    {
+        return a == aCap ? ej : std::max(ej, ei + a);
+    }
+
+    /**
+     * eval(a, b), with the boundary column's (x, y) relaxed to the
+     * individual bounds so separations beyond the sweep stay covered
+     * (sound: only lowers).
+     */
+    TriplePoint eval(TripleSweepCache &cache, int a, int b,
+                     TripleSweep &out) const
+    {
+        TriplePoint pt = cache.eval(a, b, &out.trips);
+        ++out.evals;
+        if (a == aCap) {
+            pt.x = ei;
+            pt.y = ej;
+        }
+        return pt;
+    }
+
+    /**
+     * The point floor at (a, b), in O(1): eval(a, b) returns
+     * z >= f_z = min(cp(a, b), maxBoundCycle), where cp is the
+     * critical path it composes, then y = max(z - b, e_j) and
+     * x = max(y - a, e_i), and y >= e_i + a besides (DESIGN.md §5).
+     */
+    TriplePoint floorAt(const TripleSweepCache &cache, int a, int b) const
+    {
+        int fz = int(std::min<long long>(cache.criticalPath(a, b),
+                                         maxBoundCycle));
+        if (a == aCap)
+            return {ei, ej, fz};
+        int fy = std::max({ej, ei + a, fz - b});
+        return {std::max(ei, fy - a), fy, fz};
+    }
+};
+
+/**
+ * Sweep the (a, b) grid of the triple bound on @p g, evaluating
+ * every point the unpruned reference does, in its order: the sweep
+ * for superblocks where maxEvals may bind.
  *
- * @param prune Skip points whose cost floor cannot beat the triple's
- *        best; sound only where the budget cannot bind.
  * @param evalsLeft Evaluations the budget still allows; a sweep that
  *        spends them with grid points left is cut and not counted.
  */
 TripleSweep
-sweepTriple(TripleSweepCache &cache, const detail::SinkSkeleton &sink,
-            int bi, int bj, const Superblock &sb,
-            const TriplewiseOptions &opts, bool prune, long long evalsLeft)
+sweepTriple(TripleSweepCache &cache, const TripleGrid &g,
+            long long evalsLeft)
 {
     TripleSweep out;
-    cache.bindSink(sink);
-    cache.bindTriple(bi, bj);
-    int ei = cache.ei();
-    int ej = cache.ej();
-    int ek = cache.ek();
-
-    OpId i = sb.branches()[std::size_t(bi)];
-    OpId j = sb.branches()[std::size_t(bj)];
-    double wi = sb.exitProb(i);
-    double wj = sb.exitProb(j);
-    double wk = sb.exitProb(sink.sink);
-    int aMin = sb.op(i).latency;
-    int bMin = sb.op(j).latency;
-    // Unlike the pairwise case, Theorem 2's termination property does
-    // not transfer to the i-coordinate of a triple (x derives from
-    // the k-anchored bound), so the a-sweep may need to reach past
-    // EarlyRC[j] + 1; the boundary column below keeps any cap sound.
-    int aCap = std::min(ek + 1, aMin + opts.maxLatRange);
-    int bCap = std::min(ek + 1, bMin + opts.maxLatRange);
-
     TriplePoint &best = out.best;
     double bestCost = 0.0;
     bool haveBest = false;
     bool cut = false;
-    auto cost = [&](int x, int y, int z) {
-        return wi * x + wj * y + wk * z;
-    };
     auto record = [&](TriplePoint pt) {
-        double c = cost(pt.x, pt.y, pt.z);
+        double c = g.cost(pt);
         if (!haveBest || c < bestCost) {
             best = pt;
             bestCost = c;
@@ -96,79 +162,39 @@ sweepTriple(TripleSweepCache &cache, const detail::SinkSkeleton &sink,
         }
     };
 
-    // Every point eval returns at (a, b) has x >= ei,
-    // y >= max(ej, ei + a) and z >= min(cp(a, b), maxBoundCycle),
-    // where cp is the critical path it composes (DESIGN.md §5), and
-    // the boundary column pins (x, y) to (ei, ej). Priced by the same
-    // expression as record, a floor at or above bestCost marks a
-    // point that cannot win.
-    auto dead = [&](int a, int b) {
-        if (!prune || !haveBest)
-            return false;
-        int fy = a == aCap ? ej : std::max(ej, ei + a);
-        int fz = int(std::min<long long>(cache.criticalPath(a, b),
-                                         maxBoundCycle));
-        return cost(ei, fy, fz) >= bestCost;
-    };
-
-    for (int a = aMin; a <= aCap; ++a) {
-        // Floors rise with a up to the boundary column, whose pinned
-        // (x, y) may sit lower: once both are dead, no later point or
-        // capped fallback can win.
-        if (dead(a, bMin) && dead(aCap, bMin))
-            break;
+    for (int a = g.aMin; a <= g.aCap; ++a) {
         bool columnAllXAtFloor = true;
-        int yFloor = std::max(ej, ei + a);
+        int yFloor = g.yFloor(a);
         bool innerBroke = false;
-        bool pruned = false;
         TriplePoint last{};
-        for (int b = bMin; b <= bCap; ++b) {
-            // Floors rise with b, and the capped fallback costs at
-            // least floor(a, bCap). The first point always runs:
-            // x == ei forces the break below, so it alone decides
-            // columnAllXAtFloor.
-            if (b > bMin && dead(a, b)) {
-                pruned = true;
-                break;
-            }
-            TriplePoint pt = cache.eval(a, b, &out.trips);
-            ++out.evals;
-            // Boundary column: relax coordinates to the individual
-            // bounds so separations beyond the sweep stay covered
-            // (sound: only lowers).
-            if (a == aCap) {
-                pt.x = ei;
-                pt.y = ej;
-            }
+        for (int b = g.bMin; b <= g.bCap; ++b) {
+            TriplePoint pt = g.eval(cache, a, b, out);
             record(pt);
             last = pt;
-            if (pt.x != ei)
+            if (pt.x != g.ei)
                 columnAllXAtFloor = false;
             // Once both x and y sit at their floors for this column,
             // larger b only raises z: schedules with larger
             // separations are dominated by this candidate.
-            if (pt.x == ei && pt.y <= yFloor) {
+            if (pt.x == g.ei && pt.y <= yFloor) {
                 innerBroke = true;
                 break;
             }
-            if (out.evals >= evalsLeft && b < bCap) {
+            if (out.evals >= evalsLeft && b < g.bCap) {
                 cut = true;
                 break;
             }
         }
         if (cut)
             break;
-        if (!innerBroke && !pruned) {
+        if (!innerBroke) {
             // Capped fallback covering separations past bCap at this
             // exact a.
-            TriplePoint capped{ei, yFloor, last.z};
-            if (a == aCap)
-                capped.y = ej;
-            record(capped);
+            record({g.ei, yFloor, last.z});
         }
         if (columnAllXAtFloor)
             break;
-        if (out.evals >= evalsLeft && a < aCap) {
+        if (out.evals >= evalsLeft && a < g.aCap) {
             cut = true;
             break;
         }
@@ -176,6 +202,124 @@ sweepTriple(TripleSweepCache &cache, const detail::SinkSkeleton &sink,
     // A triple the budget cuts mid-sweep is dropped: its minimum over
     // part of the (a, b) grid is not a lower bound.
     out.counted = haveBest && !cut;
+    return out;
+}
+
+/**
+ * Sweep the grid of the triple bound on @p g to the best
+ * sweepTriple finds uncut, running only the relaxations that can
+ * win or that decide where a column or the sweep ends (DESIGN.md §5,
+ * "Triplewise floor pruning"). It never cuts, so it runs only where
+ * maxEvals cannot bind.
+ *
+ * A point ends its column exactly when its x = e_i, and the sweep
+ * when it is its column's first. A point with f_x > e_i can do
+ * neither, so the full sweep reaches it whenever it reaches the point
+ * before it, and it matters only through its cost, or through its z
+ * when it is (a, bCap) and the column's fallback is recorded.
+ */
+TripleSweep
+sweepTriplePruned(TripleSweepCache &cache, const TripleGrid &g)
+{
+    TripleSweep out;
+    // Reference order: (a, b) ascending, with a column's capped
+    // fallback (b = bCap + 1) after its points. Of equal costs the
+    // full sweep keeps the first in this order; points here may be
+    // recorded out of it, so record and every skip compare
+    // (cost, position).
+    const long long rowLen = (long long)g.bCap - g.bMin + 2;
+    auto pos = [&](int a, int b) {
+        return (a - g.aMin) * rowLen + (b - g.bMin);
+    };
+    double bestCost = 0.0;
+    long long bestPos = -1; // none yet
+    // Can cost @p c at position @p p displace the best? Asked of a
+    // floor, "no" means nothing it bounds can.
+    auto beats = [&](double c, long long p) {
+        return bestPos < 0 || c < bestCost ||
+               (c == bestCost && p < bestPos);
+    };
+    auto record = [&](TriplePoint pt, long long p) {
+        double c = g.cost(pt);
+        if (beats(c, p)) {
+            out.best = pt;
+            bestCost = c;
+            bestPos = p;
+        }
+    };
+    // The column floor at (a, b): cost(e_i, yFloor(a), f_z(a, b))
+    // bounds the point, every later point of its column and the
+    // column's fallback, since cp rises with b. It rises with a too,
+    // up to the boundary column.
+    auto columnFloor = [&](int a, int fz) {
+        return g.cost(g.ei, g.yFloor(a), fz);
+    };
+
+    for (int a = g.aMin; a <= g.aCap; ++a) {
+        // The best so far comes from earlier columns, so a tie loses:
+        // once this column's first floor and the boundary's are dead,
+        // no later point or fallback can win.
+        if (!beats(columnFloor(a, g.floorAt(cache, a, g.bMin).z),
+                   pos(a, g.bMin)) &&
+            !beats(columnFloor(g.aCap, g.floorAt(cache, g.aCap, g.bMin).z),
+                   pos(g.aCap, g.bMin)))
+            break;
+        int yFloor = g.yFloor(a);
+        bool canEnd = false;
+        for (int b = g.bMin; b <= g.bCap && !canEnd; ++b)
+            canEnd = g.floorAt(cache, a, b).x == g.ei;
+        int bLast = g.bCap;
+        if (!canEnd) {
+            // No point can end this column, so the full sweep walks
+            // all of it and records its fallback. Take (a, bCap),
+            // whose z the fallback shares, and the fallback first:
+            // the walk then prunes against them.
+            if (beats(columnFloor(a, g.floorAt(cache, a, g.bCap).z),
+                      pos(a, g.bCap))) {
+                TriplePoint pt = g.eval(cache, a, g.bCap, out);
+                record(pt, pos(a, g.bCap));
+                record({g.ei, yFloor, pt.z}, pos(a, g.bCap + 1));
+            }
+            bLast = g.bCap - 1;
+        }
+
+        bool ended = false;     // a point with x = e_i ended the column
+        bool retired = false;   // its column floor went dead
+        bool sweepEnds = false; // the column's first point ended it
+        TriplePoint last{};
+        for (int b = g.bMin; b <= bLast; ++b) {
+            TriplePoint f = g.floorAt(cache, a, b);
+            bool mayEnd = f.x == g.ei;
+            // f_y and f_x do not rise with b (f_z - b can fall), so the
+            // point floor skips single points; the column floor
+            // retires the rest. The first point still runs when it
+            // may end the sweep.
+            bool dead = !beats(columnFloor(a, f.z), pos(a, b));
+            if (dead && !(b == g.bMin && mayEnd)) {
+                retired = true;
+                break;
+            }
+            if (!mayEnd && b < g.bCap && !beats(g.cost(f), pos(a, b)))
+                continue;
+            TriplePoint pt = g.eval(cache, a, b, out);
+            record(pt, pos(a, b));
+            last = pt;
+            if (pt.x == g.ei) {
+                ended = true;
+                sweepEnds = b == g.bMin;
+                break;
+            }
+            if (dead) {
+                retired = true;
+                break;
+            }
+        }
+        if (canEnd && !ended && !retired)
+            record({g.ei, yFloor, last.z}, pos(a, g.bCap + 1));
+        if (sweepEnds)
+            break;
+    }
+    out.counted = bestPos >= 0;
     return out;
 }
 
@@ -236,12 +380,13 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
                  ++bj) {
                 for (int bk = bj + 1; bk < numBr && evals < opts.maxEvals;
                      ++bk) {
-                    TripleSweep s = sweepTriple(
+                    TripleGrid grid(
                         cache,
                         skeletons.get(bk, stats.tripleSkeletonHits,
                                       stats.tripleSkeletonMisses),
-                        bi, bj, sb, opts, /*prune=*/false,
-                        opts.maxEvals - evals);
+                        bi, bj, sb, opts);
+                    TripleSweep s = sweepTriple(
+                        cache, grid, opts.maxEvals - evals);
                     evals += s.evals;
                     fold(bi, bj, bk, s);
                 }
@@ -288,9 +433,9 @@ computeTriplewise(const GraphContext &ctx, const MachineModel &machine,
                     lane == 0 ? *scratch : own ? *own : own.emplace(machine);
                 TripleSweepCache cache(ctx, machine, earlyRC, s);
                 const auto &[bi, bj, bk] = triples[t];
-                slots[t] = sweepTriple(cache, *sinks[std::size_t(bk)], bi,
-                                       bj, sb, opts, /*prune=*/true,
-                                       opts.maxEvals);
+                TripleGrid grid(cache, *sinks[std::size_t(bk)], bi, bj, sb,
+                                opts);
+                slots[t] = sweepTriplePruned(cache, grid);
             },
             lanes);
         for (const std::optional<BoundScratch> &own : laneScratch)

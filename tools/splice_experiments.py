@@ -28,6 +28,7 @@ SOURCES = {
     "FIGURE8": "figure8_gcc_cdf.txt",
     "OPTGAP": "optimality_gap.txt",
     "TWBUDGET": "ablation_tw_budget.txt",
+    "SBVSBB": "superblock_vs_bb.txt",
 }
 
 
