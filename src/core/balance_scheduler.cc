@@ -235,13 +235,8 @@ class Engine
     const std::vector<OpId> &
     issuableOps()
     {
-        std::vector<OpId> &out = es->candidates;
-        out.clear();
-        for (OpId v = 0; v < sb.numOps(); ++v) {
-            if (state->canIssueNow(v))
-                out.push_back(v);
-        }
-        return out;
+        state->issuableNow(es->candidates);
+        return es->candidates;
     }
 
     const std::vector<OpId> &

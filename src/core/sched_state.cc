@@ -8,13 +8,9 @@ namespace balance
 {
 
 SchedState::SchedState(const Superblock &sb, const MachineModel &machine)
-    : block(&sb), model(&machine), table(machine),
-      issue(std::size_t(sb.numOps()), -1),
-      predsLeft(std::size_t(sb.numOps()), 0),
-      readyAt(std::size_t(sb.numOps()), 0)
+    : block(&sb), model(&machine), table(machine)
 {
-    for (OpId v = 0; v < sb.numOps(); ++v)
-        predsLeft[std::size_t(v)] = int(sb.preds(v).size());
+    rebind(sb, machine);
 }
 
 void
@@ -26,10 +22,14 @@ SchedState::rebind(const Superblock &sb, const MachineModel &machine)
     issue.assign(std::size_t(sb.numOps()), -1);
     predsLeft.assign(std::size_t(sb.numOps()), 0);
     readyAt.assign(std::size_t(sb.numOps()), 0);
+    predsDone.clear();
     curCycle = 0;
     placed = 0;
-    for (OpId v = 0; v < sb.numOps(); ++v)
+    for (OpId v = 0; v < sb.numOps(); ++v) {
         predsLeft[std::size_t(v)] = int(sb.preds(v).size());
+        if (predsLeft[std::size_t(v)] == 0)
+            predsDone.push_back(v);
+    }
 }
 
 bool
@@ -42,11 +42,21 @@ std::vector<OpId>
 SchedState::depReadyOps() const
 {
     std::vector<OpId> out;
-    for (OpId v = 0; v < block->numOps(); ++v) {
-        if (isDepReady(v))
+    for (OpId v : predsDone) {
+        if (readyAt[std::size_t(v)] <= curCycle)
             out.push_back(v);
     }
     return out;
+}
+
+void
+SchedState::issuableNow(std::vector<OpId> &out) const
+{
+    out.clear();
+    for (OpId v : predsDone) {
+        if (canIssueNow(v))
+            out.push_back(v);
+    }
 }
 
 void
@@ -57,8 +67,13 @@ SchedState::scheduleNow(OpId v)
     table.reserve(curCycle, block->op(v).cls);
     issue[std::size_t(v)] = curCycle;
     ++placed;
+    predsDone.erase(
+        std::lower_bound(predsDone.begin(), predsDone.end(), v));
     for (const Adjacent &e : block->succs(v)) {
-        --predsLeft[std::size_t(e.op)];
+        if (--predsLeft[std::size_t(e.op)] == 0)
+            predsDone.insert(std::lower_bound(predsDone.begin(),
+                                              predsDone.end(), e.op),
+                             e.op);
         // Zero-latency (anti) edges are serialized to the next
         // cycle, the policy shared by every forward scheduler and
         // the exact oracle in this library, so all of them explore
@@ -82,7 +97,7 @@ SchedState::advanceCycle()
 bool
 SchedState::anyIssuableNow() const
 {
-    for (OpId v = 0; v < block->numOps(); ++v) {
+    for (OpId v : predsDone) {
         if (canIssueNow(v))
             return true;
     }

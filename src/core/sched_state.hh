@@ -20,7 +20,10 @@ namespace balance
 
 /**
  * Forward list-scheduling state: operations are only ever placed in
- * the current cycle, which advances monotonically.
+ * the current cycle, which advances monotonically. The state keeps
+ * the unscheduled operations whose predecessors have all issued in
+ * one ascending list, so the per-decision queries walk that list
+ * instead of every operation.
  */
 class SchedState
 {
@@ -89,6 +92,12 @@ class SchedState
     /** @return all dependence-ready operations, in program order. */
     std::vector<OpId> depReadyOps() const;
 
+    /**
+     * Fill @p out with every operation that can issue in the current
+     * cycle (canIssueNow()), in program order.
+     */
+    void issuableNow(std::vector<OpId> &out) const;
+
     /** @return free units of pool @p r in the current cycle. */
     int
     freeNow(ResourceId r) const
@@ -125,6 +134,8 @@ class SchedState
     std::vector<int> issue;
     std::vector<int> predsLeft;
     std::vector<int> readyAt;
+    /** Unscheduled ops with predsLeft == 0, ascending. */
+    std::vector<OpId> predsDone;
     std::vector<int> lostScratch; //!< advanceCycle() result buffer
     int curCycle = 0;
     int placed = 0;

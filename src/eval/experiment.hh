@@ -119,8 +119,8 @@ struct SuperblockEval
     double frequency = 1.0;
     /** Present exactly when telemetry collection is enabled. */
     std::shared_ptr<SuperblockTelemetry> telemetry;
-    /** Present when the B&B certifier ran (see BnbEvalSummary). */
-    std::shared_ptr<BnbEvalSummary> bnb;
+    /** Present when the B&B certifier ran (EvalOutcome::bnb). */
+    std::shared_ptr<BnbResult> bnb;
 };
 
 /** @return the Table 5 steering weights for @p sb. */

@@ -139,8 +139,7 @@ evaluate(const GraphContext &ctx, const MachineModel &machine,
         bsAssert(r.wct <= out.best.wct() + 1e-9 &&
                      r.lowerBound >= out.tightest - 1e-9,
                  "bnb certificate out of range on '", sb.name(), "'");
-        out.bnb = std::make_shared<BnbEvalSummary>(BnbEvalSummary{
-            r.wct, r.lowerBound, r.proven, r.exhausted, r.counters});
+        out.bnb = std::make_shared<BnbResult>(std::move(r));
     }
     return out;
 }
@@ -183,7 +182,7 @@ foldSchedEngineStats(MetricRegistry &reg, const SchedEngineStats &stats,
 }
 
 void
-foldBnb(MetricRegistry &reg, const BnbEvalSummary &bnb)
+foldBnb(MetricRegistry &reg, const BnbResult &bnb)
 {
     reg.counter("bnb.instances").add(1);
     if (bnb.proven)

@@ -33,22 +33,6 @@ namespace balance
 class MetricRegistry;
 struct BoundScratch;
 
-/**
- * Branch-and-bound certificate for one superblock. `wct` is the
- * certified incumbent — never worse than the Best envelope's winner,
- * which seeds the search — and `lowerBound` is a proven floor on the
- * optimal WCT, so `proven` upgrades the instance's gap attribution
- * from "vs. bound" to "vs. optimum".
- */
-struct BnbEvalSummary
-{
-    double wct = 0.0;
-    double lowerBound = 0.0;
-    bool proven = false;
-    bool exhausted = false;
-    BnbCounters counters;
-};
-
 /** What evaluate() runs; every field comes from an adapter option. */
 struct EvalPlan
 {
@@ -87,7 +71,13 @@ struct EvalOutcome
     std::vector<double> wct;
     int balanceSlot = -1; //!< lineup index run on the toolkit, or -1
     BestEnvelope best;    //!< winner over the lineup (and grid)
-    std::shared_ptr<BnbEvalSummary> bnb; //!< when the certifier ran
+    /**
+     * The certifier's result, when it ran. Its incumbent is never
+     * worse than the envelope's winner, which seeds the search, and
+     * `proven` upgrades the instance's gap attribution from "vs.
+     * bound" to "vs. optimum".
+     */
+    std::shared_ptr<BnbResult> bnb;
 };
 
 /**
@@ -117,7 +107,7 @@ void foldBalanceStats(MetricRegistry &reg, const SchedulerStats &bal);
 void foldSchedEngineStats(MetricRegistry &reg,
                           const SchedEngineStats &stats,
                           long long arenaHighWater);
-void foldBnb(MetricRegistry &reg, const BnbEvalSummary &bnb);
+void foldBnb(MetricRegistry &reg, const BnbResult &bnb);
 
 } // namespace balance
 

@@ -50,7 +50,7 @@ struct SbCapture
     std::string decisionLines; //!< Balance decision log, JSON lines
     std::vector<BranchRow> branches;
     /** B&B certificate; present when the certifier ran. */
-    std::shared_ptr<BnbEvalSummary> bnb;
+    std::shared_ptr<BnbResult> bnb;
 };
 
 /** Row/metric key order for the trip counters. */
@@ -163,7 +163,7 @@ renderRow(const std::string &program, const Superblock &sb,
         .key("selection_passes").value(cap.bal.selectionPasses)
         .key("candidates").value(cap.bal.candidatesSum)
         .endObject();
-    if (const BnbEvalSummary *bnb = cap.bnb.get()) {
+    if (const BnbResult *bnb = cap.bnb.get()) {
         const BnbCounters &c = bnb->counters;
         w.key("bnb").beginObject()
             .key("wct").value(bnb->wct)

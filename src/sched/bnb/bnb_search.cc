@@ -456,26 +456,49 @@ BnbSubtreeSearch::lowerBound(int cycle, double scheduledWct)
         OpId b = sb.branches()[std::size_t(bi)];
         if (issue[std::size_t(b)] >= 0)
             continue;
-        int depLb = sweep[std::size_t(b)];
-
-        // Slot counting per pool over b's unscheduled closure, as in
-        // sched/optimal.cc, from the counts the search maintains.
-        const std::int32_t *left =
-            &closureLeft[std::size_t(bi) * std::size_t(numPools)];
-        int resLb = cycle;
-        for (int r = 0; r < numPools; ++r) {
-            int n = left[r];
-            if (n == 0)
-                continue;
-            int width = machine.width(r);
-            int extra =
-                n <= width ? 0 : (n - width + width - 1) / width;
-            resLb = std::max(resLb, cycle + extra);
-        }
         lb += sb.exitProb(b) *
-              (std::max(depLb, resLb) + sb.op(b).latency);
+              (std::max(sweep[std::size_t(b)], slotFloor(bi, cycle)) +
+               sb.op(b).latency);
     }
     return lb;
+}
+
+double
+BnbSubtreeSearch::floorBound(int cycle, double scheduledWct) const
+{
+    // lowerBound()'s branch-order sum with each branch's sweep value
+    // cut to the floors the sweep starts from, so no term exceeds
+    // lowerBound()'s at any cycle >= @p cycle.
+    double lb = scheduledWct;
+    for (int bi = 0; bi < sb.numBranches(); ++bi) {
+        OpId b = sb.branches()[std::size_t(bi)];
+        if (issue[std::size_t(b)] >= 0)
+            continue;
+        int e = std::max(cycle, readyAt[std::size_t(b)]);
+        e = std::max(e, context.staticEarly[std::size_t(b)]);
+        lb += sb.exitProb(b) *
+              (std::max(e, slotFloor(bi, cycle)) + sb.op(b).latency);
+    }
+    return lb;
+}
+
+int
+BnbSubtreeSearch::slotFloor(int bi, int cycle) const
+{
+    // Slot counting per pool over the branch's unscheduled closure,
+    // as in sched/optimal.cc, from the counts the search maintains.
+    const std::int32_t *left =
+        &closureLeft[std::size_t(bi) * std::size_t(numPools)];
+    int resLb = cycle;
+    for (int r = 0; r < numPools; ++r) {
+        int n = left[r];
+        if (n == 0)
+            continue;
+        int width = machine.width(r);
+        int extra = n <= width ? 0 : (n - width + width - 1) / width;
+        resLb = std::max(resLb, cycle + extra);
+    }
+    return resLb;
 }
 
 BnbSubtreeOutcome
@@ -530,9 +553,14 @@ BnbSubtreeSearch::run(const BnbPrefix &prefix, double incumbentWct,
         }
         if (leaf)
             continue;
+        // The floor first: it prunes most children without the scan
+        // and the sweep, and never where lowerBound() would not.
+        if (haveRef && floorBound(f.cycle + 1, w) >= ref - kPruneEps) {
+            ++out.stats.prunedBound;
+            continue;
+        }
         int dc2 = nextDecisionCycle(f.cycle + 1);
-        double lb = lowerBound(dc2, w);
-        if (haveRef && lb >= ref - kPruneEps) {
+        if (haveRef && lowerBound(dc2, w) >= ref - kPruneEps) {
             ++out.stats.prunedBound;
             continue;
         }
@@ -595,6 +623,11 @@ BnbSubtreeSearch::splitChildren(const BnbPrefix &prefix,
         }
         if (leaf)
             continue;
+        if (haveRef && floorBound(f.cycle + 1, w) >= ref - kPruneEps) {
+            ++outcome.stats.prunedBound;
+            continue;
+        }
+        // A child the floor keeps stores the full bound as its lb.
         int dc2 = nextDecisionCycle(f.cycle + 1);
         double lb = lowerBound(dc2, w);
         if (haveRef && lb >= ref - kPruneEps) {

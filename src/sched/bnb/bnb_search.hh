@@ -181,6 +181,14 @@ class BnbSubtreeSearch
     void undoChoice(Frame &f);
     void adjustClosureLeft(OpId v, int delta);
     double lowerBound(int cycle, double scheduledWct);
+    /**
+     * O(B·P) floor from kept state: at most lowerBound(dc, w) for
+     * every dc >= @p cycle, so a prune it makes is one the full test
+     * makes too (DESIGN.md §5).
+     */
+    double floorBound(int cycle, double scheduledWct) const;
+    /** Branch @p bi's per-pool slot floor from closureLeft. */
+    int slotFloor(int bi, int cycle) const;
     double replayedWct() const;
 
     const BnbContext &context;

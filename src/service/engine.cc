@@ -149,7 +149,7 @@ ScheduleEngine::runWith(EngineWorkerState &state,
     out.issue.reserve(std::size_t(sb.numOps()));
     for (OpId op = 0; op < OpId(sb.numOps()); ++op)
         out.issue.push_back(schedule.issueOf(op));
-    if (const BnbEvalSummary *bnb = r.bnb.get()) {
+    if (const BnbResult *bnb = r.bnb.get()) {
         out.haveBnb = true;
         out.bnbWct = bnb->wct;
         out.bnbLowerBound = bnb->lowerBound;

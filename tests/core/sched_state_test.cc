@@ -1,8 +1,12 @@
 #include "core/sched_state.hh"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "graph/builder.hh"
+#include "support/rng.hh"
+#include "workload/generator.hh"
 
 namespace balance
 {
@@ -106,6 +110,50 @@ TEST(SchedState, FreeNowTracksCurrentCycle)
     EXPECT_EQ(state.freeNow(0), 0);
     state.advanceCycle();
     EXPECT_EQ(state.freeNow(0), 2);
+}
+
+TEST(SchedState, ReadyListMatchesFullScan)
+{
+    // A random walk through each superblock's schedule space: at every
+    // step the kept list's answers must equal a scan over all ops.
+    GeneratorParams params;
+    params.blockGeoP = 0.22; // more, larger blocks: wider ready sets
+    params.opsPerBlockMu = 1.7;
+    for (const MachineModel &machine :
+         {MachineModel::gp2(), MachineModel::fs4()}) {
+        for (std::uint64_t i = 0; i < 40; ++i) {
+            Rng gen = Rng::stream(0x5c4edULL, i);
+            Superblock sb =
+                generateSuperblock(gen, params, "walk" + std::to_string(i));
+            SCOPED_TRACE(sb.name() + " on " + machine.name());
+            SchedState state(sb, machine);
+            Rng walk = Rng::stream(0x3a1cULL, i);
+            std::vector<OpId> issuable;
+            while (!state.done()) {
+                std::vector<OpId> wantIssuable;
+                std::vector<OpId> wantReady;
+                for (OpId v = 0; v < sb.numOps(); ++v) {
+                    if (state.canIssueNow(v))
+                        wantIssuable.push_back(v);
+                    if (state.isDepReady(v))
+                        wantReady.push_back(v);
+                }
+                state.issuableNow(issuable);
+                ASSERT_EQ(issuable, wantIssuable);
+                ASSERT_EQ(state.anyIssuableNow(), !wantIssuable.empty());
+                ASSERT_EQ(state.depReadyOps(), wantReady);
+                // Place a random issuable op, or now and then leave the
+                // rest of the cycle idle.
+                if (issuable.empty() || walk.bernoulli(0.2)) {
+                    state.advanceCycle();
+                    continue;
+                }
+                state.scheduleNow(issuable[std::size_t(walk.uniformInt(
+                    0, std::int64_t(issuable.size()) - 1))]);
+            }
+            state.toSchedule().validate(sb, machine);
+        }
+    }
 }
 
 } // namespace

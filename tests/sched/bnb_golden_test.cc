@@ -15,6 +15,13 @@
  * run two or three rounds, and one search exhausts its tree while the
  * root is still being split. Carries the `parallel` label: every search also
  * runs on four threads.
+ *
+ * The CertifyPopulation cases pin perfbench's own `certify` units,
+ * on the workload's shapes before its seed relabels them: each unit
+ * runs through evaluate() as the benchmark runs it (paper lineup,
+ * Best, the certifier at 50,000 nodes seeded with the envelope's
+ * winner), at one and four search threads. They carry the
+ * `integration-parallel` label, so the TSan job runs them.
  */
 
 #include <cstdint>
@@ -24,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include "bounds/superblock_bounds.hh"
+#include "eval/experiment.hh"
 #include "eval/pipeline.hh"
 #include "sched/bnb/bnb.hh"
 #include "support/json.hh"
@@ -170,6 +178,198 @@ const Golden kGolden[] = {
      R"("rounds":2})"},
 };
 
+/** perfbench `certify`'s master seed, population size and budget. */
+constexpr std::uint64_t kCertifySeed = 0xb2b5eedULL;
+constexpr int kCertifyInstances = 30;
+constexpr long long kCertifyNodes = 50000;
+
+// Recorded from the build before the certifier tested its cheap floor
+// ahead of the full node bound; the floor must not move a node. As
+// above, of the units whose root the seed and the static floor close,
+// only the first is kept.
+const Golden kCertifyGolden[] = {
+    {"GP2", 0, 0x69abd414e8448a09ULL,
+     R"({"wct":22.808046615600581,"lower_bound":22.808046615600581,)"
+     R"("proven":true,"exhausted":true,"nodes_expanded":0,)"
+     R"("pruned_by_bound":1,"pruned_by_dominance":0,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":0,)"
+     R"("rounds":0})"},
+    {"GP2", 3, 0x563ea6920460c014ULL,
+     R"({"wct":30.73619431804017,"lower_bound":30.73552708573817,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49213,"pruned_by_dominance":28170,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"GP2", 4, 0x32b6acb7aaf8fa16ULL,
+     R"({"wct":21.930279414205486,"lower_bound":21.920838560264226,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49338,"pruned_by_dominance":21928,)"
+     R"("incumbent_updates":0,"tasks_completed":24,"tasks_aborted":1,)"
+     R"("rounds":14})"},
+    {"GP2", 5, 0xebc9ec2ac8830e34ULL,
+     R"({"wct":39.643581475128919,"lower_bound":39.640436636035602,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49716,"pruned_by_dominance":24122,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"GP2", 8, 0x387028aa50a72438ULL,
+     R"({"wct":28.852527059543004,"lower_bound":28.850186520211938,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49628,"pruned_by_dominance":21044,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"GP2", 10, 0x0169be03cf41270dULL,
+     R"({"wct":34.16929459321355,"lower_bound":34.130230596406406,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49372,"pruned_by_dominance":5940,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"GP2", 12, 0x73f1e53d72b11996ULL,
+     R"({"wct":36.273915921795371,"lower_bound":36.197950729863123,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49726,"pruned_by_dominance":20369,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"GP2", 13, 0x16b95917813f1266ULL,
+     R"({"wct":37.411863615137264,"lower_bound":37.355635607927937,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49556,"pruned_by_dominance":16919,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"GP2", 14, 0x4e72ad07e4c00fbbULL,
+     R"({"wct":26.28087768326894,"lower_bound":26.28087768326894,)"
+     R"("proven":true,"exhausted":true,"nodes_expanded":20062,)"
+     R"("pruned_by_bound":19987,"pruned_by_dominance":2027,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":0,)"
+     R"("rounds":0})"},
+    {"GP2", 15, 0x1c1406b2c75e3526ULL,
+     R"({"wct":22.841797352665253,"lower_bound":22.834509554865008,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49130,"pruned_by_dominance":1757,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"GP2", 17, 0x8b1af38381a4816cULL,
+     R"({"wct":22.505067560430302,"lower_bound":22.445373770412186,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":48119,"pruned_by_dominance":36964,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"GP2", 21, 0x9d96c56afe5a0004ULL,
+     R"({"wct":24.843899196624662,"lower_bound":24.834058828394408,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49381,"pruned_by_dominance":17640,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"GP2", 24, 0xa3750268a8ee1e86ULL,
+     R"({"wct":45.436775317509728,"lower_bound":45.433790255295435,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49803,"pruned_by_dominance":15204,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"GP2", 25, 0xc6ba7c4b1057961aULL,
+     R"({"wct":31.185007515230414,"lower_bound":31.174574699271513,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49615,"pruned_by_dominance":5057,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"GP2", 27, 0x84238882c457db19ULL,
+     R"({"wct":27.952198471573908,"lower_bound":27.944938985673076,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49645,"pruned_by_dominance":14944,)"
+     R"("incumbent_updates":0,"tasks_completed":15,"tasks_aborted":1,)"
+     R"("rounds":15})"},
+    {"FS4", 3, 0x08cc8ff72613c4f0ULL,
+     R"({"wct":40.700474270309385,"lower_bound":40.699139805705393,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":43974,"pruned_by_dominance":23853,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 7, 0xb67883204f65c9acULL,
+     R"({"wct":66.998122049244103,"lower_bound":66.997204021692355,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":47491,"pruned_by_dominance":9533,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 9, 0xf8adc9d4d49b1659ULL,
+     R"({"wct":24.045295063627652,"lower_bound":24.043764088180797,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49148,"pruned_by_dominance":30197,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 10, 0x9226b4d037856bc8ULL,
+     R"({"wct":39.801456095732611,"lower_bound":39.800428516229651,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":46560,"pruned_by_dominance":4412,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 11, 0x361be30231adaa8fULL,
+     R"({"wct":43.51183200173022,"lower_bound":43.510449427521557,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49090,"pruned_by_dominance":20421,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 12, 0x2fff49cc06c917ebULL,
+     R"({"wct":41.649060405527905,"lower_bound":41.638242466516658,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49422,"pruned_by_dominance":9972,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 13, 0x9b51982e0106f1fcULL,
+     R"({"wct":44.461600991137736,"lower_bound":44.371739540631921,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49495,"pruned_by_dominance":11483,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 17, 0xa425c64c0243d63eULL,
+     R"({"wct":26.95901961479634,"lower_bound":26.946416837387886,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":46384,"pruned_by_dominance":10030,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 18, 0x4445ab01a51c1b5eULL,
+     R"({"wct":47.498517207042823,"lower_bound":47.46551811794869,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":46719,"pruned_by_dominance":13346,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 21, 0x82ff0182492e7495ULL,
+     R"({"wct":26.127637055999866,"lower_bound":26.115665264479148,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49184,"pruned_by_dominance":9205,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 22, 0x71205ef365e861eeULL,
+     R"({"wct":25.67968423992891,"lower_bound":25.678496297088177,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":48184,"pruned_by_dominance":9217,)"
+     R"("incumbent_updates":0,"tasks_completed":59,"tasks_aborted":2,)"
+     R"("rounds":31})"},
+    {"FS4", 23, 0xc5ea254fb72cfbfcULL,
+     R"({"wct":53.454962361537611,"lower_bound":53.448515150636823,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":46753,"pruned_by_dominance":8448,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 24, 0x3e9c6b57fff412d3ULL,
+     R"({"wct":53.582355936582388,"lower_bound":53.580918684405134,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":49468,"pruned_by_dominance":11687,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 25, 0x466054f1c52448d8ULL,
+     R"({"wct":34.044449287121736,"lower_bound":34.033653021128544,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":48819,"pruned_by_dominance":5401,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+    {"FS4", 27, 0x1ea2c34e6c85e881ULL,
+     R"({"wct":33.702113690207369,"lower_bound":33.69157866199884,)"
+     R"("proven":false,"exhausted":false,"nodes_expanded":50000,)"
+     R"("pruned_by_bound":47399,"pruned_by_dominance":21067,)"
+     R"("incumbent_updates":0,"tasks_completed":0,"tasks_aborted":2,)"
+     R"("rounds":1})"},
+};
+
 /** perfbench's `certify` shape: draws centred on 50-100 ops. */
 GeneratorParams
 certifyParams()
@@ -183,14 +383,13 @@ certifyParams()
     return params;
 }
 
-/** The first kInstances draws inside the 50-100-op band. */
+/** The first @p count draws of @p seed's streams in the 50-100-op band. */
 std::vector<Superblock>
-population()
+population(std::uint64_t seed, int count)
 {
     std::vector<Superblock> out;
-    for (std::uint64_t stream = 0; int(out.size()) < kInstances;
-         ++stream) {
-        Rng rng = Rng::stream(kSeed, stream);
+    for (std::uint64_t stream = 0; int(out.size()) < count; ++stream) {
+        Rng rng = Rng::stream(seed, stream);
         Superblock sb = generateSuperblock(
             rng, certifyParams(),
             "bnbgold.sb" + std::to_string(out.size()));
@@ -218,7 +417,7 @@ issueHash(const Schedule &s)
 void
 checkAt(int threads)
 {
-    std::vector<Superblock> sbs = population();
+    std::vector<Superblock> sbs = population(kSeed, kInstances);
     for (const Golden &g : kGolden) {
         const Superblock &sb = sbs[std::size_t(g.instance)];
         SCOPED_TRACE(sb.name() + " on " + g.machine);
@@ -239,6 +438,31 @@ checkAt(int threads)
     }
 }
 
+/** kCertifyGolden, each unit as perfbench's `certify` evaluates it. */
+void
+checkCertifyAt(int threads)
+{
+    std::vector<Superblock> sbs =
+        population(kCertifySeed, kCertifyInstances);
+    HeuristicSet set = HeuristicSet::paperSet(true);
+    for (const Golden &g : kCertifyGolden) {
+        const Superblock &sb = sbs[std::size_t(g.instance)];
+        SCOPED_TRACE(sb.name() + " on " + g.machine);
+        MachineModel machine = MachineModel::byName(g.machine);
+        GraphContext ctx(sb);
+        EvalPlan plan;
+        plan.lineup = set.primaries;
+        plan.withBest = set.withBest;
+        plan.certify = true;
+        plan.bnbMaxNodes = kCertifyNodes;
+        plan.bnbThreads = threads;
+        EvalOutcome out = evaluate(ctx, machine, plan);
+        ASSERT_TRUE(out.bnb);
+        EXPECT_EQ(out.bnb->certificate(), g.certificate);
+        EXPECT_EQ(issueHash(out.bnb->schedule), g.issueHash);
+    }
+}
+
 TEST(BnbGolden, SerialCertificatesMatch)
 {
     checkAt(1);
@@ -247,6 +471,16 @@ TEST(BnbGolden, SerialCertificatesMatch)
 TEST(BnbGolden, FourThreadCertificatesMatch)
 {
     checkAt(4);
+}
+
+TEST(BnbGolden, CertifyPopulationSerial)
+{
+    checkCertifyAt(1);
+}
+
+TEST(BnbGolden, CertifyPopulationFourThreads)
+{
+    checkCertifyAt(4);
 }
 
 TEST(BnbGolden, TableCoversBudgetRoundsAndSplit)
